@@ -31,6 +31,7 @@ from .pipeline import (
 )
 from .semantic import HashingNgramProvider, RemoteEmbeddingProvider
 from .similarity import (
+    Scorer,
     SimilarityConfig,
     SplitResult,
     cosine,
@@ -60,6 +61,7 @@ __all__ = [
     "PreprocessOutput",
     "ReferenceExample",
     "RemoteEmbeddingProvider",
+    "Scorer",
     "ScreeningRecord",
     "SimilarityConfig",
     "SolveTrace",

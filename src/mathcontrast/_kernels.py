@@ -1,87 +1,53 @@
-"""Edit-distance kernels.
+"""Edit-distance kernel.
 
-The unit-cost Levenshtein DP is the hot inner loop of every similarity
-computation (corpus dedup is O(n^2) pairs, retrieval is O(corpus) per
-query, and each tree-distance call runs several of these). The default
-kernel is numba-compiled; set ``MATHCONTRAST_NO_NUMBA=1`` to force the
-pure-numpy fallback (also used automatically when numba is missing).
-
-``benchmarks/bench_levenshtein.py`` compares the two paths.
+The unit-cost Levenshtein distance is the inner loop of every logic
+similarity (corpus dedup compares entries pairwise, retrieval compares
+the target with every entry, and each tree distance compares up to four
+branch pairs). This is the bit-parallel algorithm of Myers (JACM 1999)
+in Hyyrö's formulation for the global edit distance (2003): one column
+of the DP table is held as two bit vectors of vertical +1/-1 deltas in
+a Python int, so each character of the shorter string costs a fixed
+handful of integer operations whatever the length of the longer one.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-_NO_NUMBA = os.environ.get("MATHCONTRAST_NO_NUMBA", "") not in ("", "0")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
+# Kept for the benchmark in perfbench/, which reads these two names.
+USING_NUMBA = False
 
 
-def encode(s: str) -> np.ndarray:
-    """Map a string to an int32 code-point array for the kernels."""
-    return np.fromiter(map(ord, s), dtype=np.int32, count=len(s))
+def encode(s: str) -> str:
+    """Identity: the kernel works on strings. Kept for perfbench/."""
+    return s
 
 
-def levenshtein_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Row-vectorized Levenshtein DP.
-
-    The within-row dependency d[j] = min(cand[j], d[j-1] + 1) is a prefix
-    minimum of cand[j] - j, which minimum.accumulate resolves without an
-    inner Python loop.
-    """
-    n, m = a.size, b.size
-    if n == 0:
+def levenshtein_codes(a: str, b: str) -> int:
+    """Unit-cost insert/delete/substitute edit distance of two strings."""
+    if a == b:
+        return 0
+    if len(a) < len(b):
+        a, b = b, a
+    # a (the longer) is the pattern held in the bit vectors; b is scanned
+    m = len(a)
+    if not b:
         return m
-    if m == 0:
-        return n
-    idx = np.arange(m + 1)
-    prev = idx.copy()
-    base = np.empty(m + 1, dtype=np.int64)
-    for i in range(n):
-        base[0] = i + 1
-        np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i]), out=base[1:])
-        prev = np.minimum.accumulate(base - idx) + idx
-    return int(prev[m])
-
-
-def _levenshtein_loop(a: np.ndarray, b: np.ndarray) -> int:
-    n = a.shape[0]
-    m = b.shape[0]
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = np.arange(m + 1)
-    cur = np.empty(m + 1, np.int64)
-    for i in range(n):
-        cur[0] = i + 1
-        ai = a[i]
-        for j in range(1, m + 1):
-            c = prev[j - 1]
-            if b[j - 1] != ai:
-                c += 1
-            if prev[j] + 1 < c:
-                c = prev[j] + 1
-            if cur[j - 1] + 1 < c:
-                c = cur[j - 1] + 1
-            cur[j] = c
-        prev, cur = cur, prev
-    return int(prev[m])
-
-
-if HAS_NUMBA:
-    levenshtein_njit = njit(cache=True)(_levenshtein_loop)
-else:  # pragma: no cover
-    levenshtein_njit = None
-
-USING_NUMBA = HAS_NUMBA and not _NO_NUMBA
-
-levenshtein_codes = levenshtein_njit if USING_NUMBA else levenshtein_numpy
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score

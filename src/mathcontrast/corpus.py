@@ -13,9 +13,11 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .datasets import read_jsonl_objects
 from .errors import ParseError, SchemaError
 from .formula import AlignedFormula, align_variables
-from .similarity import SemanticProvider, SimilarityConfig, tls
+from .similarity import Scorer, SemanticProvider, SimilarityConfig
+from .similarity import tls  # noqa: F401 - unused here; perfbench/ patches corpus.tls
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-6
@@ -129,11 +131,8 @@ def dedup(
     """
     kept: list[ReferenceExample] = []
     for ex in examples:
-        pair = (ex.question, ex.right_formula)
-        if any(
-            tls(pair, (k.question, k.right_formula), cfg, sem) > cfg.dedup_threshold
-            for k in kept
-        ):
+        score = Scorer((ex.question, ex.right_formula), cfg, sem)
+        if any(score(k.question, k.right_formula) > cfg.dedup_threshold for k in kept):
             continue
         kept.append(ex)
     return kept
@@ -208,19 +207,7 @@ def save(examples: list[ReferenceExample], path: str | os.PathLike) -> None:
 
 def load(path: str | os.PathLike) -> list[ReferenceExample]:
     """Read a corpus; empty file yields an empty list."""
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no)
-            if not isinstance(obj, dict):
-                raise SchemaError("record is not an object", line_no)
-            examples.append(example_from_dict(obj, line_no))
-    return examples
+    return [example_from_dict(obj, line_no) for line_no, obj in read_jsonl_objects(path)]
 
 
 def record_to_dict(rec: ScreeningRecord) -> dict:
@@ -250,14 +237,22 @@ def record_from_dict(obj: dict, line: int) -> ScreeningRecord:
         gold = float(obj["gold_answer"])
     except (TypeError, ValueError):
         raise SchemaError("gold_answer is not a number", line, "gold_answer")
+    if not isinstance(obj["attempts"], list):
+        raise SchemaError("attempts is not a list", line, "attempts")
     attempts = []
     for att in obj["attempts"]:
+        if not isinstance(att, dict):
+            raise SchemaError("attempt is not an object", line, "attempts")
         answer = att.get("answer")
+        try:
+            answer = None if answer is None else float(answer)
+        except (TypeError, ValueError):
+            raise SchemaError("attempt answer is not a number", line, "attempts")
         attempts.append(
             Attempt(
                 reasoning=str(att.get("reasoning", "")),
                 formula=str(att.get("formula", "")),
-                answer=None if answer is None else float(answer),
+                answer=answer,
                 correct=bool(att.get("correct")),
             )
         )
@@ -276,14 +271,4 @@ def append_screening_record(rec: ScreeningRecord, path: str | os.PathLike) -> No
 
 
 def load_screening_log(path: str | os.PathLike) -> list[ScreeningRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no)
-            records.append(record_from_dict(obj, line_no))
-    return records
+    return [record_from_dict(obj, line_no) for line_no, obj in read_jsonl_objects(path)]

@@ -13,6 +13,7 @@ import os
 import random
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import SchemaError
 
@@ -25,8 +26,10 @@ class Problem:
     source: str = ""
 
 
-def load_problems(path: str | os.PathLike) -> list[Problem]:
-    problems = []
+def read_jsonl_objects(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a
+    line-delimited JSON file; a line that is not a JSON object raises
+    SchemaError naming it."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -35,23 +38,31 @@ def load_problems(path: str | os.PathLike) -> list[Problem]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc.msg}", line_no)
-            for name in ("id", "question", "answer"):
-                if name not in obj:
-                    raise SchemaError("missing field", line_no, name)
-            try:
-                answer = float(obj["answer"])
-                if not math.isfinite(answer):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise SchemaError("answer is not a finite number", line_no, "answer")
-            problems.append(
-                Problem(
-                    id=str(obj["id"]),
-                    question=str(obj["question"]),
-                    answer=answer,
-                    source=str(obj.get("source", "")),
-                )
+            if not isinstance(obj, dict):
+                raise SchemaError("record is not an object", line_no)
+            yield line_no, obj
+
+
+def load_problems(path: str | os.PathLike) -> list[Problem]:
+    problems = []
+    for line_no, obj in read_jsonl_objects(path):
+        for name in ("id", "question", "answer"):
+            if name not in obj:
+                raise SchemaError("missing field", line_no, name)
+        try:
+            answer = float(obj["answer"])
+            if not math.isfinite(answer):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise SchemaError("answer is not a finite number", line_no, "answer")
+        problems.append(
+            Problem(
+                id=str(obj["id"]),
+                question=str(obj["question"]),
+                answer=answer,
+                source=str(obj.get("source", "")),
             )
+        )
     return problems
 
 
@@ -70,26 +81,25 @@ _GSM8K_ANSWER_RE = re.compile(r"####\s*(-?[\d,]+(?:\.\d+)?)")
 def import_gsm8k(in_path, out_path, source: str = "gsm8k") -> int:
     """Convert raw GSM8K jsonl (question + worked 'answer' text ending in
     '#### <number>') to the dataset format; returns the record count."""
-    count = 0
-    with open(in_path, encoding="utf-8") as src, open(
-        out_path, "w", encoding="utf-8"
-    ) as dst:
-        for line_no, line in enumerate(src, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            match = _GSM8K_ANSWER_RE.search(obj.get("answer", ""))
-            if not match:
-                raise SchemaError("no '#### <number>' final answer", line_no, "answer")
-            record = {
+    records = []
+    for line_no, obj in read_jsonl_objects(in_path):
+        match = _GSM8K_ANSWER_RE.search(str(obj.get("answer", "")))
+        if not match:
+            raise SchemaError("no '#### <number>' final answer", line_no, "answer")
+        if "question" not in obj:
+            raise SchemaError("missing field", line_no, "question")
+        records.append(
+            {
                 "id": str(obj.get("id", f"{source}-{line_no}")),
                 "question": obj["question"],
                 "answer": float(match.group(1).replace(",", "")),
                 "source": source,
             }
+        )
+    with open(out_path, "w", encoding="utf-8") as dst:
+        for record in records:
             dst.write(json.dumps(record, ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return len(records)
 
 
 def subsample(problems: list[Problem], n: int, seed: int) -> list[Problem]:

@@ -13,7 +13,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .errors import MissingGold, UnknownKind
+from .datasets import read_jsonl_objects
+from .errors import MissingGold, SchemaError, UnknownKind
 from .pipeline import SolveTrace
 
 ERROR_KINDS = ("comprehension", "calculation", "logic", "equation")
@@ -122,11 +123,8 @@ def tally_errors(annotations: list[ErrorAnnotation]) -> ErrorTally:
 def load_annotations(path: str | os.PathLike) -> list[ErrorAnnotation]:
     """Line-delimited JSON with fields problem_id, kind, note, annotator."""
     annotations = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
+    for line_no, obj in read_jsonl_objects(path):
+        try:
             annotations.append(
                 ErrorAnnotation(
                     problem_id=str(obj.get("problem_id", "")),
@@ -135,6 +133,8 @@ def load_annotations(path: str | os.PathLike) -> list[ErrorAnnotation]:
                     annotator=str(obj.get("annotator", "")),
                 )
             )
+        except UnknownKind as exc:
+            raise SchemaError(str(exc), line_no, "kind")
     return annotations
 
 

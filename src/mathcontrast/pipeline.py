@@ -20,7 +20,8 @@ from .errors import ExtractionError
 from .formula import AlignedFormula, Chain, _tokenize, find_chains, merge_steps
 from .gateway import ChatBackend, ChatRequest, DecodingParams
 from .prompts import PromptLibrary, contrastive_examples, default_prompts, fixed_prompt
-from .similarity import SemanticProvider, SimilarityConfig, tls
+from .similarity import Scorer, SemanticProvider, SimilarityConfig
+from .similarity import tls  # noqa: F401 - unused here; perfbench/ patches pipeline.tls
 
 log = logging.getLogger(__name__)
 
@@ -81,15 +82,26 @@ def extract_answer(completion: str) -> float | None:
 
 
 def majority_vote(answers: list[float | None]) -> float | None:
-    """Mode of the non-None answers; ties go to the earliest completion."""
-    groups: dict[float, list[int]] = {}
-    for idx, ans in enumerate(answers):
+    """Mode of the non-None answers; ties go to the earliest completion.
+
+    Answers are grouped with answers_match, the tolerance scoring uses:
+    each answer joins the first group whose earliest answer it matches,
+    and a group votes with that earliest answer.
+    """
+    groups: list[list] = []  # [earliest answer, count], by first appearance
+    for ans in answers:
         if ans is None:
             continue
-        groups.setdefault(ans, []).append(idx)
+        for group in groups:
+            if answers_match(group[0], ans):
+                group[1] += 1
+                break
+        else:
+            groups.append([ans, 1])
     if not groups:
         return None
-    return min(groups, key=lambda v: (-len(groups[v]), groups[v][0]))
+    # max keeps the first of equal counts: the group that appeared earliest
+    return max(groups, key=lambda group: group[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +204,11 @@ def rank(
 ) -> list[tuple[ReferenceExample, float]]:
     """Score the whole corpus against the target, best first.
 
-    Ties break on ascending example id so the order is reproducible.
+    Scores equal tls(target, (ex.question, ex.right_formula)); ties
+    break on ascending example id so the order is reproducible.
     """
-    scored = [
-        (ex, tls(target, (ex.question, ex.right_formula), cfg, sem))
-        for ex in examples
-    ]
+    score = Scorer(target, cfg, sem)
+    scored = [(ex, score(ex.question, ex.right_formula)) for ex in examples]
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored
 

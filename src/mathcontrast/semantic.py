@@ -17,33 +17,35 @@ import numpy as np
 import requests
 
 from .errors import ProviderError
-from .similarity import cosine
+from .similarity import cosine_normed
 
 EMBED_DIM = 256
 
 
 class _CosineProvider:
-    """Similarity as the cosine of cached per-text embeddings."""
+    """Similarity as the cosine of cached per-text embeddings; each text's
+    norm is cached with its vector."""
 
     def __init__(self):
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, tuple[np.ndarray, float]] = {}
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
         raise NotImplementedError
 
-    def _embed_cached(self, text: str) -> np.ndarray:
+    def _embed_cached(self, text: str) -> tuple[np.ndarray, float]:
         with self._lock:
             hit = self._cache.get(text)
         if hit is not None:
             return hit
-        vec = self.embed(text)
+        vec = np.asarray(self.embed(text), dtype=np.float64)
+        hit = (vec, np.linalg.norm(vec))
         with self._lock:
-            self._cache[text] = vec
-        return vec
+            self._cache[text] = hit
+        return hit
 
     def similarity(self, a: str, b: str) -> float:
-        return cosine(self._embed_cached(a), self._embed_cached(b))
+        return cosine_normed(*self._embed_cached(a), *self._embed_cached(b))
 
 
 class HashingNgramProvider(_CosineProvider):
@@ -57,12 +59,12 @@ class HashingNgramProvider(_CosineProvider):
 
     def embed(self, text: str) -> np.ndarray:
         padded = f"^{text.lower()}$"
-        vec = np.zeros(EMBED_DIM, dtype=np.float64)
-        for n in (2, 3):
-            for i in range(max(0, len(padded) - n + 1)):
-                gram = padded[i : i + n]
-                vec[zlib.crc32(gram.encode("utf-8")) % EMBED_DIM] += 1.0
-        return vec
+        buckets = [
+            zlib.crc32(padded[i : i + n].encode("utf-8")) % EMBED_DIM
+            for n in (2, 3)
+            for i in range(len(padded) - n + 1)
+        ]
+        return np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
 
     def similarity(self, a: str, b: str) -> float:
         if a == b:
@@ -105,15 +107,3 @@ class RemoteEmbeddingProvider(_CosineProvider):
             return np.asarray(payload["data"][0]["embedding"], dtype=np.float64)
         except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
             raise ProviderError(f"embedding request failed: {exc}") from exc
-
-
-class SerializingProvider:
-    """Wrap a provider that is not safe for concurrent queries."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self._lock = threading.Lock()
-
-    def similarity(self, a: str, b: str) -> float:
-        with self._lock:
-            return self._inner.similarity(a, b)

@@ -63,13 +63,7 @@ class SemanticProvider(Protocol):
 
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost insert/delete/substitute edit distance."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    return int(_kernels.levenshtein_codes(_kernels.encode(a), _kernels.encode(b)))
+    return _kernels.levenshtein_codes(a, b)
 
 
 def _text(a: AlignedFormula | str) -> str:
@@ -122,6 +116,18 @@ def split_balanced(a: AlignedFormula | str) -> SplitResult:
     return SplitResult(ch, a[:i], a[i + 1 :])
 
 
+def _split_distance(a: str, sa: SplitResult, b: str, sb: SplitResult, dist) -> float:
+    """Tree distance of two formulas from their splits, with ``dist`` the
+    norm_distance of two strings."""
+    if sa.operator is None or sb.operator is None:
+        return 2 * dist(a, b)
+    in_order = dist(sa.left, sb.left) + dist(sa.right, sb.right)
+    if sa.operator in _COMMUTATIVE:
+        swapped = dist(sa.left, sb.right) + dist(sa.right, sb.left)
+        return min(in_order, swapped)
+    return in_order
+
+
 def tree_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     """Split-based tree distance between two aligned formulas.
 
@@ -135,37 +141,85 @@ def tree_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     a, b = _text(a), _text(b)
     if not a or not b:
         raise DegenerateInput("tree_distance requires non-empty operands")
-    sa = split_balanced(a)
-    sb = split_balanced(b)
-    if sa.operator is None or sb.operator is None:
-        return 2 * norm_distance(a, b)
-    in_order = norm_distance(sa.left, sb.left) + norm_distance(sa.right, sb.right)
-    if sa.operator in _COMMUTATIVE:
-        swapped = norm_distance(sa.left, sb.right) + norm_distance(sa.right, sb.left)
-        return min(in_order, swapped)
-    return in_order
+    return _split_distance(a, split_balanced(a), b, split_balanced(b), norm_distance)
 
 
 def logic_similarity(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     """Map tree_distance (range [0, 2]) onto a descending-sortable
     similarity in [0, 1]."""
-    return 1.0 - min(tree_distance(a, b), 2.0) / 2.0
+    return _distance_to_similarity(tree_distance(a, b))
+
+
+def _distance_to_similarity(distance: float) -> float:
+    return 1.0 - min(distance, 2.0) / 2.0
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
     """Cosine similarity of two equal-dimension, non-zero vectors."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    return cosine_normed(u, np.linalg.norm(u), v, np.linalg.norm(v))
+
+
+def cosine_normed(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
+    """cosine(u, v) given both float64 vectors and their norms."""
     if u.shape != v.shape:
         raise DimensionMismatch(f"vector dimensions differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector("cosine similarity is undefined for a zero vector")
     return float(np.dot(u, v) / (nu * nv))
 
 
 ExamplePair = tuple[str, "AlignedFormula | str"]
+
+
+class Scorer:
+    """The combined score of one target (question, formula) against many
+    candidates, as ``tls(target, candidate, cfg, sem)``.
+
+    The target is split once. For the scorer's lifetime the logic
+    similarity is memoized per distinct candidate formula text, and
+    norm_distance per distinct branch pair, so a corpus with few
+    distinct formulas costs few edit distances. The semantic term is
+    asked of the provider per candidate.
+    """
+
+    def __init__(self, target: ExamplePair, cfg: SimilarityConfig, sem: SemanticProvider):
+        self.question, formula = target
+        self.alpha = cfg.alpha
+        self.sem = sem
+        self.text = _text(formula) if self.alpha > 0.0 else ""
+        self.split = split_balanced(self.text) if self.text else None
+        self._logic_memo: dict[str, float] = {}
+        self._branch_memo: dict[tuple[str, str], float] = {}
+
+    def _branch_distance(self, a: str, b: str) -> float:
+        key = (a, b)
+        hit = self._branch_memo.get(key)
+        if hit is None:
+            hit = self._branch_memo[key] = norm_distance(a, b)
+        return hit
+
+    def logic(self, formula: AlignedFormula | str) -> float:
+        """logic_similarity(target formula, formula)."""
+        text = _text(formula)
+        hit = self._logic_memo.get(text)
+        if hit is None:
+            if self.split is None or not text:
+                raise DegenerateInput("tree_distance requires non-empty operands")
+            distance = _split_distance(
+                self.text, self.split, text, split_balanced(text), self._branch_distance
+            )
+            hit = self._logic_memo[text] = _distance_to_similarity(distance)
+        return hit
+
+    def __call__(self, question: str, formula: AlignedFormula | str) -> float:
+        alpha = self.alpha
+        logic = self.logic(formula) if alpha > 0.0 else 0.0
+        if alpha == 1.0:
+            return logic
+        semantic = min(1.0, max(0.0, self.sem.similarity(self.question, question)))
+        return alpha * logic + (1.0 - alpha) * semantic
 
 
 def tls(
@@ -180,13 +234,7 @@ def tls(
     cosine clamped to [0, 1]. At alpha 1 the provider is never consulted
     (logic-only); at alpha 0 the formulas are never compared
     (semantic-only), which also serves as the fallback when a formula
-    could not be extracted.
+    could not be extracted. To score one target against many
+    candidates, build a ``Scorer`` once instead.
     """
-    q1, al1 = ex1
-    q2, al2 = ex2
-    alpha = cfg.alpha
-    logic = logic_similarity(al1, al2) if alpha > 0.0 else 0.0
-    if alpha == 1.0:
-        return logic
-    semantic = min(1.0, max(0.0, sem.similarity(q1, q2)))
-    return alpha * logic + (1.0 - alpha) * semantic
+    return Scorer(ex1, cfg, sem)(*ex2)

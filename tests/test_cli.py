@@ -11,6 +11,7 @@ from mathcontrast.corpus import (
     load_screening_log,
 )
 from mathcontrast.datasets import Problem, import_gsm8k, load_problems, save_problems, subsample
+from mathcontrast.errors import SchemaError
 
 
 def _write_dataset(path, problems):
@@ -188,6 +189,35 @@ def test_build_corpus_empty_log(tmp_path):
     assert load(out) == []
 
 
+_GOOD_RECORD = {
+    "problem_id": "p1",
+    "question": "Mixed?",
+    "gold_answer": 7.0,
+    "attempts": [{"reasoning": "r", "formula": "3+4", "answer": 7.0, "correct": True}],
+}
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        json.dumps({**_GOOD_RECORD, "attempts": [5]}),
+        json.dumps({**_GOOD_RECORD, "attempts": 5}),
+        "7",
+        json.dumps(
+            {**_GOOD_RECORD, "attempts": [{"formula": "3+4", "answer": "seven", "correct": True}]}
+        ),
+    ],
+    ids=["attempt-not-object", "attempts-not-list", "record-not-object", "answer-not-number"],
+)
+def test_build_corpus_malformed_log_is_data_error_with_line(tmp_path, capsys, bad_line):
+    log = tmp_path / "screening.jsonl"
+    log.write_text(json.dumps(_GOOD_RECORD) + "\n" + bad_line + "\n")
+    out = tmp_path / "corpus.jsonl"
+    code = cli.main(["build-corpus", "--screening-log", str(log), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "line 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # retrieve / solve
 # ---------------------------------------------------------------------------
@@ -324,6 +354,32 @@ def test_eval_scripted_accuracy(eval_run, tmp_path, capsys):
     assert summary["latent_correct"] == 2
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    ["{not json}", "[1, 2]", json.dumps({"problem_id": "t2", "kind": "spelling"})],
+    ids=["invalid-json", "not-object", "unknown-kind"],
+)
+def test_eval_malformed_annotations_is_data_error_with_line(eval_run, tmp_path, capsys, bad_line):
+    dataset, script = eval_run
+    annotations = tmp_path / "annotations.jsonl"
+    good = {"problem_id": "t1", "kind": "logic", "note": "", "annotator": ""}
+    annotations.write_text(json.dumps(good) + "\n" + bad_line + "\n")
+    code = cli.main(
+        [
+            "eval",
+            "--dataset", str(dataset),
+            "--strategy", "contrastive",
+            "--guesses", "3",
+            "--backend", "mock",
+            "--mock-script", str(script),
+            "--output-dir", str(tmp_path / "run"),
+            "--annotations", str(annotations),
+        ]
+    )
+    assert code == cli.EXIT_DATA
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_eval_config_echo_and_roundtrip(eval_run, tmp_path, capsys):
     dataset, script = eval_run
     run1 = tmp_path / "run1"
@@ -440,6 +496,18 @@ def test_gsm8k_import(tmp_path):
     problems = load_problems(out)
     assert problems[0].answer == 24.0
     assert problems[0].source == "gsm8k"
+
+
+@pytest.mark.parametrize(
+    "bad_line", ["{not json}", "[1]", json.dumps({"answer": "#### 3"})],
+    ids=["invalid-json", "not-object", "no-question"],
+)
+def test_gsm8k_import_malformed_line_is_schema_error(tmp_path, bad_line):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"question": "q?", "answer": "#### 3"}) + "\n" + bad_line + "\n")
+    with pytest.raises(SchemaError) as exc_info:
+        import_gsm8k(raw, tmp_path / "gsm8k.jsonl")
+    assert exc_info.value.line == 2
 
 
 def test_subsample_is_deterministic_and_order_preserving():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from mathcontrast.corpus import (
 from mathcontrast.errors import SchemaError
 from mathcontrast.formula import align_variables
 from mathcontrast.semantic import HashingNgramProvider
-from mathcontrast.similarity import SimilarityConfig
+from mathcontrast.similarity import SimilarityConfig, tls
 
 GOLD = 39.0
 
@@ -143,8 +144,6 @@ def test_dedup_keeps_distinct_examples():
     sem = HashingNgramProvider()
     a = _example(1, "How many apples does Ann have?", "1+1")
     b = _example(2, "A train travels at 60 km per hour for 2 hours.", "1*1/1-1")
-    from mathcontrast.similarity import tls
-
     score = tls(
         (a.question, a.right_formula), (b.question, b.right_formula), cfg, sem
     )
@@ -179,6 +178,34 @@ def test_dedup_threshold_above_one_is_identity():
     b = _example(2, "Same question?")
     # tls of the clones is exactly 1.0, not above the threshold
     assert dedup([a, b], cfg, sem) == [a, b]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+def test_dedup_keeps_same_ids_as_greedy_tls_reference(alpha):
+    rng = random.Random(3)
+    formulas = ["32+42", "7*6", "(32+42)-35", "5-2", "(1+2)*3", "9/3+1", "(4)"]
+    questions = [
+        "How many apples does Ann have?",
+        "How many apples does Ann have now?",
+        "A train travels 60 km.",
+        "Paint covers 12 square meters.",
+        "How many pens did Bob buy?",
+    ]
+    examples = [
+        _example(i, rng.choice(questions), rng.choice(formulas)) for i in range(60)
+    ]
+    cfg = SimilarityConfig(alpha=alpha, dedup_threshold=0.85)
+    sem = HashingNgramProvider()
+    reference = []
+    for ex in examples:
+        pair = (ex.question, ex.right_formula)
+        if all(
+            tls(pair, (k.question, k.right_formula), cfg, sem) <= cfg.dedup_threshold
+            for k in reference
+        ):
+            reference.append(ex)
+    assert 1 < len(reference) < len(examples)
+    assert [ex.id for ex in dedup(examples, cfg, sem)] == [ex.id for ex in reference]
 
 
 # ---------------------------------------------------------------------------

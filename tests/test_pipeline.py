@@ -110,6 +110,12 @@ def test_vote_tie_goes_to_earliest_completion():
     assert majority_vote([7.0, 5.0, 5.0, 7.0]) == 7.0
 
 
+def test_vote_groups_answers_within_scoring_tolerance():
+    # the three 39s match under answers_match, so they outvote the two 40s
+    assert majority_vote([39.0, 39.00001, 39.000001, 40.0, 40.0]) == 39.0
+    assert majority_vote([40.0, 39.0, 39.00001, 40.0]) == 40.0
+
+
 def test_vote_ignores_abstentions():
     assert majority_vote([None, 3.0, None, 3.0, 9.0]) == 3.0
 
@@ -279,6 +285,37 @@ def test_retrieve_matches_brute_force_oracle():
         )
         got = rank(target, examples, CFG, sem)
         assert [ex.id for ex, _ in got] == [ex.id for ex, _ in expected]
+
+
+def _seeded_corpus(size, seed):
+    """A corpus whose aligned formulas and questions repeat, so the
+    scorer's memos are hit and scores tie."""
+    rng = random.Random(seed)
+    shapes = [
+        "1+2", "3*4", "5-6", "8/2", "(1+2)-3", "1+2*3", "(1+2)*(3-4)", "7-(2+3)",
+        "1*2/3", "(5+6)/(7-8)", "(9)", "(1+2+3+4)*5-6", "2*3+4*5-6/7", "((1+2))",
+    ]
+    vocab = "chocolate train apple page fish seat row bird shop total".split()
+    questions = [" ".join(rng.choice(vocab) for _ in range(5)) for _ in range(size // 3)]
+    return [
+        _example(i, rng.choice(questions), rng.choice(shapes)) for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+def test_rank_equals_per_pair_tls_exactly(alpha):
+    examples = _seeded_corpus(240, seed=5)
+    cfg = SimilarityConfig(alpha=alpha)
+    sem = HashingNgramProvider()
+    targets = [(ex.question, ex.right_formula) for ex in examples[:4]]
+    targets += [("apple total row", "@*(@+@)-@"), ("seat fish", "(@-@)"), ("bird", "@")]
+    for target in targets:
+        brute = sorted(
+            ((ex.id, tls(target, (ex.question, ex.right_formula), cfg, sem)) for ex in examples),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        got = [(ex.id, score) for ex, score in rank(target, examples, cfg, sem)]
+        assert got == brute
 
 
 def test_retrieve_requires_positive_k_and_corpus():

@@ -6,7 +6,6 @@ from mathcontrast.semantic import (
     EMBED_DIM,
     HashingNgramProvider,
     RemoteEmbeddingProvider,
-    SerializingProvider,
 )
 
 
@@ -106,8 +105,3 @@ def test_remote_provider_wraps_failures():
     sem = RemoteEmbeddingProvider("http://emb.local", "m", session=session)
     with pytest.raises(ProviderError):
         sem.similarity("unknown", "also-unknown")
-
-
-def test_serializing_guard_delegates():
-    guarded = SerializingProvider(HashingNgramProvider())
-    assert guarded.similarity("a b c", "a b c") == 1.0

@@ -72,16 +72,22 @@ def test_levenshtein_triangle_inequality(a, b, c):
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
-def test_kernel_paths_agree():
+def test_kernel_matches_memoized_oracle():
     rng = random.Random(7)
+    pairs = []
     for _ in range(300):
         a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 15)))
         b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 15)))
-        ca, cb = _kernels.encode(a), _kernels.encode(b)
-        expect = _kernels.levenshtein_numpy(ca, cb)
-        assert _kernels.levenshtein_codes(ca, cb) == expect
-        if _kernels.HAS_NUMBA:
-            assert _kernels.levenshtein_njit(ca, cb) == expect
+        pairs.append((a, b))
+    # longer than 64 characters, so the bit vectors are multi-word ints
+    for _ in range(30):
+        a = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(65, 140)))
+        b = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 140)))
+        pairs.append((a, b))
+    for a, b in pairs:
+        expect = lev_memo(a, b)
+        assert _kernels.levenshtein_codes(a, b) == expect
+        assert _kernels.levenshtein_codes(b, a) == expect
 
 
 # ---------------------------------------------------------------------------
