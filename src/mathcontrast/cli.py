@@ -176,6 +176,9 @@ def cmd_preprocess(args) -> int:
     problems = datasets.load_problems(cfg.dataset_path)
     done = set()
     if os.path.exists(out_path):
+        torn = datasets.end_last_line(out_path)
+        if torn:
+            log.warning("dropped a torn last line (%d bytes) of %s", len(torn), out_path)
         done = {rec.problem_id for rec in corpus_io.load_screening_log(out_path)}
         if done:
             log.info("resuming: %d problems already screened", len(done))

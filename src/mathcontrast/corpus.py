@@ -127,11 +127,13 @@ def dedup(
 
     An example is dropped when its combined similarity against any
     already-kept example exceeds the dedup threshold; order is
-    preserved, so the pass is idempotent.
+    preserved, so the pass is idempotent. All candidates share one
+    memo of branch distances.
     """
     kept: list[ReferenceExample] = []
+    branch_memo: dict[tuple[str, str], float] = {}
     for ex in examples:
-        score = Scorer((ex.question, ex.right_formula), cfg, sem)
+        score = Scorer((ex.question, ex.right_formula), cfg, sem, branch_memo)
         if any(score(k.question, k.right_formula) > cfg.dedup_threshold for k in kept):
             continue
         kept.append(ex)

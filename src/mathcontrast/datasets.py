@@ -43,6 +43,28 @@ def read_jsonl_objects(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
+def end_last_line(path: str | os.PathLike) -> bytes:
+    """Make a line-delimited JSON file end at a line boundary, so that
+    the next append starts a line of its own.
+
+    A last line without its newline is completed when it is valid JSON
+    and cut off when it is not: that is an append torn by a crash.
+    Returns the bytes cut off, empty when none were.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return b""
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            fh.truncate(start)
+            return data[start:]
+        fh.write(b"\n")
+        return b""
+
+
 def load_problems(path: str | os.PathLike) -> list[Problem]:
     problems = []
     for line_no, obj in read_jsonl_objects(path):

@@ -8,22 +8,27 @@ The parser implements
 
 over text that may carry currency symbols and thousands separators
 (stripped while tokenizing). Alignment replaces every number and
-identifier with the placeholder '@' so only operator structure remains.
+identifier with the placeholder '@' so only operator structure remains,
+and an aligned formula's balanced top-level split is computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
 
-from .errors import MergeError, ParseError
+from .errors import DegenerateInput, MergeError, ParseError
 
 log = logging.getLogger(__name__)
 
 ALIGNED_ALPHABET_RE = re.compile(r"^[@+\-*/();]+$")
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+# '+' and '-' bind last, so they sit at the true top of the tree;
+# preferred over '*' and '/' when split balance ties.
+_LOW_PRECEDENCE = {"+", "-"}
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,52 @@ class AlignedFormula:
             raise ValueError(f"aligned text contains foreign characters: {self.text!r}")
         if not _balanced(self.text):
             raise ValueError(f"aligned text has unbalanced parentheses: {self.text!r}")
+
+    @functools.cached_property
+    def split(self) -> "SplitResult":
+        """``split_balanced(self.text)``, computed on first use; not a field."""
+        return split_balanced(self.text)
+
+
+@dataclass(frozen=True)
+class SplitResult:
+    """A formula split at one top-level operator; reassembling
+    left + operator + right reconstructs the input."""
+
+    operator: str | None
+    left: str
+    right: str
+
+
+def split_balanced(a: AlignedFormula | str) -> SplitResult:
+    """Split at the depth-0 operator that best balances the two halves.
+
+    Candidates are binary operators outside all parentheses (the char
+    before must close an operand, which rules out unary minus). Ties on
+    balance prefer '+'/'-' over '*'/'/', then the leftmost. With no
+    candidate the operator is None and the input is returned whole.
+    """
+    a = a.text if isinstance(a, AlignedFormula) else a
+    if not a:
+        raise DegenerateInput("cannot split an empty formula")
+    best = None
+    depth = 0
+    for i, ch in enumerate(a):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-*/" and depth == 0 and 0 < i < len(a) - 1:
+            if a[i - 1] not in ("@", ")"):
+                continue
+            diff = abs(i - (len(a) - i - 1))
+            rank = (diff, 0 if ch in _LOW_PRECEDENCE else 1, i)
+            if best is None or rank < best[0]:
+                best = (rank, i, ch)
+    if best is None:
+        return SplitResult(None, a, "")
+    _, i, ch = best
+    return SplitResult(ch, a[:i], a[i + 1 :])
 
 
 def _balanced(s: str) -> bool:

@@ -204,11 +204,14 @@ def rank(
 ) -> list[tuple[ReferenceExample, float]]:
     """Score the whole corpus against the target, best first.
 
-    Scores equal tls(target, (ex.question, ex.right_formula)); ties
-    break on ascending example id so the order is reproducible.
+    Scores equal tls(target, (ex.question, ex.right_formula)), computed
+    in one batch by ``Scorer.scores``; ties break on ascending example
+    id so the order is reproducible.
     """
-    score = Scorer(target, cfg, sem)
-    scored = [(ex, score(ex.question, ex.right_formula)) for ex in examples]
+    scores = Scorer(target, cfg, sem).scores(
+        [ex.question for ex in examples], [ex.right_formula for ex in examples]
+    )
+    scored = list(zip(examples, scores))
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored
 

@@ -1,6 +1,7 @@
 """Semantic similarity providers for question texts.
 
-Providers expose ``similarity(a, b) -> float in [-1, 1]``. Two are
+Providers expose ``similarity(a, b) -> float in [-1, 1]``, and
+``similarities(a, texts)`` for one text against a whole corpus. Two are
 built in: a remote provider that calls an HTTP embedding endpoint, and
 a fully offline provider that hashes character n-grams into a fixed
 256-dimensional vector. The offline one is deterministic across
@@ -12,26 +13,44 @@ from __future__ import annotations
 
 import threading
 import zlib
+from typing import Sequence
 
 import numpy as np
 import requests
 
-from .errors import ProviderError
+from .errors import DimensionMismatch, ProviderError, ZeroVector
 from .similarity import cosine_normed
 
 EMBED_DIM = 256
+# texts per numpy pass of HashingNgramProvider.embed_many; bounds its temporaries
+EMBED_CHUNK = 32
+# bits per code point in a packed n-gram key (code points stay below 2**21)
+_CODE_BITS = 21
 
 
 class _CosineProvider:
-    """Similarity as the cosine of cached per-text embeddings; each text's
-    norm is cached with its vector."""
+    """Similarity as the cosine of embeddings.
+
+    ``similarity`` caches each text's vector with its norm.
+    ``similarities`` caches one corpus per provider: the embedding
+    matrix of its texts and the row norms, keyed by the texts tuple.
+    Corpus vectors live only in that matrix.
+    """
 
     def __init__(self):
         self._cache: dict[str, tuple[np.ndarray, float]] = {}
+        self._corpus: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
         raise NotImplementedError
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """The embeddings of ``texts`` as the rows of an (n, d) matrix."""
+        vecs = [np.asarray(self.embed(text), dtype=np.float64) for text in texts]
+        if len({vec.shape for vec in vecs}) > 1:
+            raise DimensionMismatch("embedding dimensions differ within one batch")
+        return np.stack(vecs) if vecs else np.empty((0, 0))
 
     def _embed_cached(self, text: str) -> tuple[np.ndarray, float]:
         with self._lock:
@@ -44,8 +63,43 @@ class _CosineProvider:
             self._cache[text] = hit
         return hit
 
+    def _corpus_matrix(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        key = tuple(texts)
+        with self._lock:
+            entry = self._corpus
+        if entry is None or entry[0] != key:
+            matrix = self.embed_many(key)
+            # row norms without an n x d temporary
+            entry = (key, matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)))
+            with self._lock:
+                self._corpus = entry
+        return entry[1], entry[2]
+
     def similarity(self, a: str, b: str) -> float:
         return cosine_normed(*self._embed_cached(a), *self._embed_cached(b))
+
+    def similarities(self, a: str, texts: Sequence[str]) -> np.ndarray:
+        """``[similarity(a, t) for t in texts]`` as one matrix-vector
+        product, ``(matrix @ u) / (nu * norms)``, raising ZeroVector and
+        DimensionMismatch as ``similarity`` does.
+
+        With integer embeddings, such as the hashing provider's counts,
+        every dot product and squared norm is an exact integer whatever
+        order BLAS sums in, so each value equals ``similarity``'s bit for
+        bit. With float embeddings, such as a remote provider's, the two
+        may differ in the last bit.
+        """
+        if not texts:
+            return np.zeros(0)
+        u, nu = self._embed_cached(a)
+        matrix, norms = self._corpus_matrix(texts)
+        if matrix.shape[1:] != u.shape:
+            raise DimensionMismatch(
+                f"vector dimensions differ: {u.shape} vs {matrix.shape[1:]}"
+            )
+        if nu == 0.0 or not norms.all():
+            raise ZeroVector("cosine similarity is undefined for a zero vector")
+        return (matrix @ u) / (nu * norms)
 
 
 class HashingNgramProvider(_CosineProvider):
@@ -66,10 +120,53 @@ class HashingNgramProvider(_CosineProvider):
         ]
         return np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """``embed`` of each text, counted for ``EMBED_CHUNK`` texts per
+        numpy pass.
+
+        Each n-gram is packed into one integer, ``_CODE_BITS`` per code
+        point, so ``np.unique`` finds a chunk's distinct grams and crc32
+        runs once per distinct gram of a chunk.
+        """
+        out = np.zeros((len(texts), EMBED_DIM))
+        for start in range(0, len(texts), EMBED_CHUNK):
+            chunk = [f"^{text.lower()}$" for text in texts[start : start + EMBED_CHUNK]]
+            joined = "".join(chunk)
+            codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
+            codes = codes.astype(np.int64)
+            row = np.repeat(np.arange(len(chunk), dtype=np.int32), [len(t) for t in chunk])
+            counts = out[start : start + len(chunk)]
+            for n in (2, 3):
+                stop = len(codes) - n + 1
+                # a gram lies within one text when its first and last code do
+                at = np.flatnonzero(row[:stop] == row[n - 1 :])
+                keys = codes[at]
+                for j in range(1, n):
+                    keys <<= _CODE_BITS
+                    keys |= codes[at + j]
+                grams, inverse = np.unique(keys, return_inverse=True)
+                where = np.empty(len(grams), dtype=np.intp)
+                where[inverse] = at  # an occurrence of each distinct gram
+                buckets = np.array(
+                    [
+                        zlib.crc32(joined[i : i + n].encode("utf-8")) % EMBED_DIM
+                        for i in where.tolist()
+                    ],
+                    dtype=np.intp,
+                )
+                cells = row[at] * EMBED_DIM + buckets[inverse]
+                counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
+        return out
+
     def similarity(self, a: str, b: str) -> float:
         if a == b:
             return 1.0
         return super().similarity(a, b)
+
+    def similarities(self, a: str, texts: Sequence[str]) -> np.ndarray:
+        out = super().similarities(a, texts)
+        out[[text == a for text in texts]] = 1.0
+        return out
 
 
 class RemoteEmbeddingProvider(_CosineProvider):

@@ -17,13 +17,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateInput, DimensionMismatch, ZeroVector
-from .formula import AlignedFormula
+from .formula import AlignedFormula, SplitResult, split_balanced  # noqa: F401 - re-exported
 
 log = logging.getLogger(__name__)
 
-# '+' and '-' bind last, so they sit at the true top of the tree;
-# preferred over '*' and '/' when split balance ties.
-_LOW_PRECEDENCE = {"+", "-"}
 _COMMUTATIVE = {"+", "*"}
 
 
@@ -45,18 +42,12 @@ class SimilarityConfig:
             raise ValueError(f"dedup_threshold out of range: {self.dedup_threshold}")
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    """A formula split at one top-level operator; reassembling
-    left + operator + right reconstructs the input."""
-
-    operator: str | None
-    left: str
-    right: str
-
-
 class SemanticProvider(Protocol):
-    """Similarity of two question texts, in [-1, 1]."""
+    """Similarity of two question texts, in [-1, 1].
+
+    A provider may also offer ``similarities(a, texts)``, one score per
+    text as an array; ``Scorer.scores`` uses it when present.
+    """
 
     def similarity(self, a: str, b: str) -> float: ...
 
@@ -85,35 +76,9 @@ def norm_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     return 2 * levenshtein(a, b) / (len(a) + len(b))
 
 
-def split_balanced(a: AlignedFormula | str) -> SplitResult:
-    """Split at the depth-0 operator that best balances the two halves.
-
-    Candidates are binary operators outside all parentheses (the char
-    before must close an operand, which rules out unary minus). Ties on
-    balance prefer '+'/'-' over '*'/'/', then the leftmost. With no
-    candidate the operator is None and the input is returned whole.
-    """
-    a = _text(a)
-    if not a:
-        raise DegenerateInput("cannot split an empty formula")
-    best = None
-    depth = 0
-    for i, ch in enumerate(a):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-*/" and depth == 0 and 0 < i < len(a) - 1:
-            if a[i - 1] not in ("@", ")"):
-                continue
-            diff = abs(i - (len(a) - i - 1))
-            rank = (diff, 0 if ch in _LOW_PRECEDENCE else 1, i)
-            if best is None or rank < best[0]:
-                best = (rank, i, ch)
-    if best is None:
-        return SplitResult(None, a, "")
-    _, i, ch = best
-    return SplitResult(ch, a[:i], a[i + 1 :])
+def _split(a: AlignedFormula | str) -> SplitResult:
+    """The balanced split, cached on an AlignedFormula."""
+    return a.split if isinstance(a, AlignedFormula) else split_balanced(a)
 
 
 def _split_distance(a: str, sa: SplitResult, b: str, sb: SplitResult, dist) -> float:
@@ -137,11 +102,17 @@ def tree_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     taking the minimum; '-' and '/' fix the order. When either side has
     no top-level operator the fallback is 2*norm_distance(a, b), which
     matches the scale of the two-branch sum.
+
+    As in the paper's definition, commutativity follows the first
+    formula's operator only, so the distance is not symmetric when the
+    two split operators differ and exactly one of them is commutative:
+    TD("@*@+@", "@-@*@") is 0 but TD("@-@*@", "@*@+@") is 2. In every
+    other case TD(a, b) == TD(b, a) exactly.
     """
-    a, b = _text(a), _text(b)
-    if not a or not b:
+    ta, tb = _text(a), _text(b)
+    if not ta or not tb:
         raise DegenerateInput("tree_distance requires non-empty operands")
-    return _split_distance(a, split_balanced(a), b, split_balanced(b), norm_distance)
+    return _split_distance(ta, _split(a), tb, _split(b), norm_distance)
 
 
 def logic_similarity(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
@@ -173,28 +144,43 @@ def cosine_normed(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
 ExamplePair = tuple[str, "AlignedFormula | str"]
 
 
+def _combine(alpha, logic, semantic):
+    """The combined score of a logic and a clamped semantic similarity,
+    for floats or for numpy arrays alike (the same IEEE operations)."""
+    return alpha * logic + (1.0 - alpha) * semantic
+
+
 class Scorer:
     """The combined score of one target (question, formula) against many
     candidates, as ``tls(target, candidate, cfg, sem)``.
 
     The target is split once. For the scorer's lifetime the logic
     similarity is memoized per distinct candidate formula text, and
-    norm_distance per distinct branch pair, so a corpus with few
-    distinct formulas costs few edit distances. The semantic term is
-    asked of the provider per candidate.
+    norm_distance per distinct unordered branch pair, so a corpus with
+    few distinct formulas costs few edit distances. Pass one
+    ``branch_memo`` dict to several scorers to share branch distances
+    between targets. ``scores`` asks the provider for the semantic term
+    of all candidates at once; a call scores one candidate.
     """
 
-    def __init__(self, target: ExamplePair, cfg: SimilarityConfig, sem: SemanticProvider):
+    def __init__(
+        self,
+        target: ExamplePair,
+        cfg: SimilarityConfig,
+        sem: SemanticProvider,
+        branch_memo: dict[tuple[str, str], float] | None = None,
+    ):
         self.question, formula = target
         self.alpha = cfg.alpha
         self.sem = sem
         self.text = _text(formula) if self.alpha > 0.0 else ""
-        self.split = split_balanced(self.text) if self.text else None
+        self.split = _split(formula) if self.text else None
         self._logic_memo: dict[str, float] = {}
-        self._branch_memo: dict[tuple[str, str], float] = {}
+        self._branch_memo = {} if branch_memo is None else branch_memo
 
     def _branch_distance(self, a: str, b: str) -> float:
-        key = (a, b)
+        # norm_distance is symmetric, so one entry serves both orders
+        key = (a, b) if a <= b else (b, a)
         hit = self._branch_memo.get(key)
         if hit is None:
             hit = self._branch_memo[key] = norm_distance(a, b)
@@ -208,7 +194,7 @@ class Scorer:
             if self.split is None or not text:
                 raise DegenerateInput("tree_distance requires non-empty operands")
             distance = _split_distance(
-                self.text, self.split, text, split_balanced(text), self._branch_distance
+                self.text, self.split, text, _split(formula), self._branch_distance
             )
             hit = self._logic_memo[text] = _distance_to_similarity(distance)
         return hit
@@ -219,7 +205,25 @@ class Scorer:
         if alpha == 1.0:
             return logic
         semantic = min(1.0, max(0.0, self.sem.similarity(self.question, question)))
-        return alpha * logic + (1.0 - alpha) * semantic
+        return _combine(alpha, logic, semantic)
+
+    def scores(
+        self, questions: Sequence[str], formulas: Sequence[AlignedFormula | str]
+    ) -> list[float]:
+        """``[self(q, f) for q, f in zip(questions, formulas)]``, bit for
+        bit when the provider's ``similarities`` equals its per-pair
+        ``similarity``: the same operations run elementwise in numpy."""
+        alpha = self.alpha
+        logic = np.array([self.logic(f) for f in formulas]) if alpha > 0.0 else 0.0
+        if alpha == 1.0:
+            return logic.tolist()
+        if hasattr(self.sem, "similarities"):
+            semantic = self.sem.similarities(self.question, questions)
+        else:  # the protocol's minimum: one similarity per pair
+            semantic = [self.sem.similarity(self.question, q) for q in questions]
+        # fmax/fmin, like max/min in __call__, map a NaN cosine to 0
+        semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64), 0.0))
+        return _combine(alpha, logic, semantic).tolist()
 
 
 def tls(

@@ -128,6 +128,57 @@ def test_preprocess_resume_skips_done_problems(two_problem_run):
     assert out.read_bytes() == first  # no duplicate records
 
 
+def _preprocess_args(dataset, script, out):
+    return [
+        "preprocess",
+        "--dataset", str(dataset),
+        "--out", str(out),
+        "--attempts", "2",
+        "--backend", "mock",
+        "--mock-script", str(script),
+    ]
+
+
+def test_preprocess_resume_drops_torn_last_line(two_problem_run, caplog):
+    dataset, script, out = two_problem_run
+    args = _preprocess_args(dataset, script, out)
+    assert cli.main(args) == 0
+    complete = out.read_text()
+    first_line = complete.splitlines(keepends=True)[0]
+    out.write_text(first_line + '{"problem_id": "p2", "quest')  # crash mid-append
+    assert cli.main(args) == 0
+    assert "torn" in caplog.text
+    assert out.read_text() == complete
+    assert [r.problem_id for r in load_screening_log(out)] == ["p1", "p2"]
+
+
+def test_preprocess_resume_completes_unterminated_last_record(two_problem_run):
+    dataset, script, out = two_problem_run
+    args = _preprocess_args(dataset, script, out)
+    assert cli.main(args) == 0
+    complete = out.read_text()
+    first_line = complete.splitlines(keepends=True)[0]
+    out.write_text(first_line.rstrip("\n"))
+    assert cli.main(args) == 0
+    assert out.read_text() == complete
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"problem_id": "p1", "quest\n',  # torn, but a later append finished its line
+        '{"problem_id": "p1", "quest\n{"problem_id": "p2"}',
+        '{"problem_id": "p1"}',  # the last line parses but is not a record
+    ],
+)
+def test_preprocess_other_malformed_log_lines_are_data_errors(two_problem_run, content):
+    dataset, script, out = two_problem_run
+    out.write_text(content)
+    assert cli.main(_preprocess_args(dataset, script, out)) == cli.EXIT_DATA
+    # nothing is dropped; a complete last line may only gain its newline
+    assert out.read_text().rstrip("\n") == content.rstrip("\n")
+
+
 def test_preprocess_missing_dataset_is_data_error(tmp_path, capsys):
     script = tmp_path / "mock.json"
     _mock_script(script, [], default="x")

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mathcontrast import _kernels
 from mathcontrast.corpus import (
     Attempt,
     ReferenceExample,
@@ -206,6 +207,23 @@ def test_dedup_keeps_same_ids_as_greedy_tls_reference(alpha):
             reference.append(ex)
     assert 1 < len(reference) < len(examples)
     assert [ex.id for ex in dedup(examples, cfg, sem)] == [ex.id for ex in reference]
+
+
+def test_dedup_computes_each_unordered_branch_pair_once(monkeypatch):
+    rng = random.Random(4)
+    formulas = ["32+42", "7*6", "(32+42)-35", "5-2", "(1+2)*3", "9/3+1", "1*2-3/4", "(1+2)-(3*4)"]
+    examples = [_example(i, f"question {i}", rng.choice(formulas)) for i in range(40)]
+    computed = []
+    kernel = _kernels.levenshtein_codes
+
+    def counting(a, b):
+        computed.append(frozenset((a, b)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
+    dedup(examples, SimilarityConfig(alpha=1.0, dedup_threshold=0.99), HashingNgramProvider())
+    assert computed
+    assert len(computed) == len(set(computed))
 
 
 # ---------------------------------------------------------------------------

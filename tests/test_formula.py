@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mathcontrast.errors import MergeError, ParseError
+from mathcontrast import similarity
 from mathcontrast.formula import (
     ALIGNED_ALPHABET_RE,
     Chain,
@@ -9,6 +10,7 @@ from mathcontrast.formula import (
     find_chains,
     merge_steps,
     parse_expression,
+    split_balanced,
     to_text,
 )
 
@@ -200,3 +202,21 @@ def test_chain_ignores_lone_numbers_and_prose():
 def test_chain_three_part_equation():
     chains = find_chains("So, there are 200 * (1 - 2/5) = 200 * (3/5) = 120 boys")
     assert chains == [Chain("200 * (1 - 2/5)", 120.0)]
+
+
+# ---------------------------------------------------------------------------
+# Cached split
+# ---------------------------------------------------------------------------
+
+
+def test_aligned_formula_splits_once():
+    formula = align_variables("(32+42)-35")
+    assert formula.split is formula.split
+    assert formula.split == split_balanced(formula.text)
+    # the cached split is not a field: equality and hashing ignore it
+    fresh = align_variables("(32+42)-35")
+    assert fresh == formula and hash(fresh) == hash(formula)
+
+
+def test_similarity_reexports_split_balanced():
+    assert similarity.split_balanced is split_balanced

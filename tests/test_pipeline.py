@@ -318,6 +318,30 @@ def test_rank_equals_per_pair_tls_exactly(alpha):
         assert got == brute
 
 
+class _SimilarityOnly:
+    """A provider with only the protocol's per-pair method."""
+
+    def __init__(self):
+        self.inner = HashingNgramProvider()
+
+    def similarity(self, a, b):
+        return self.inner.similarity(a, b) ** 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_rank_with_similarity_only_provider_equals_per_pair_tls(alpha):
+    examples = _seeded_corpus(90, seed=8)
+    cfg = SimilarityConfig(alpha=alpha)
+    sem = _SimilarityOnly()
+    assert not hasattr(sem, "similarities")
+    for target in [(examples[0].question, examples[0].right_formula), ("fish row", "@-@*@")]:
+        brute = sorted(
+            ((ex.id, tls(target, (ex.question, ex.right_formula), cfg, sem)) for ex in examples),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        assert [(ex.id, score) for ex, score in rank(target, examples, cfg, sem)] == brute
+
+
 def test_retrieve_requires_positive_k_and_corpus():
     with pytest.raises(ValueError):
         retrieve(("q", "@"), _toy_corpus(), 0, CFG, HashingNgramProvider())

@@ -1,11 +1,18 @@
+import random
+import sys
+import threading
+import zlib
+
 import numpy as np
 import pytest
 
-from mathcontrast.errors import ProviderError
+from mathcontrast.errors import DimensionMismatch, ProviderError, ZeroVector
 from mathcontrast.semantic import (
+    EMBED_CHUNK,
     EMBED_DIM,
     HashingNgramProvider,
     RemoteEmbeddingProvider,
+    _CosineProvider,
 )
 
 
@@ -46,6 +53,145 @@ def test_offline_provider_related_texts_score_higher():
 def test_offline_provider_handles_empty_text():
     sem = HashingNgramProvider()
     assert -1.0 <= sem.similarity("", "") <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Batched embeddings and similarities
+# ---------------------------------------------------------------------------
+
+EDGE_TEXTS = [
+    "",
+    "a",
+    "ab",
+    "A",
+    "Über 3 Äpfel kosten 4,50 €",
+    "数学の問題",
+    "emoji \U0001F600 and \U0001F4AF!",
+    "\U0001F600",
+    "İ",
+    "İstanbul had İ2 bridges",
+    "\x00nul\x00",
+    "^$ sentinels ^^$$ inside",
+    "How many apples does Ann have?",
+]
+
+
+def _texts(count, seed):
+    rng = random.Random(seed)
+    alphabet = "abcxyz 0123456789?.,İß€\U0001F600ÄöΣ"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(30))) for _ in range(count)]
+    return EDGE_TEXTS + texts
+
+
+def test_embed_many_equals_stacked_embed_exactly():
+    sem = HashingNgramProvider()
+    texts = _texts(2 * EMBED_CHUNK + 7, seed=1)
+    assert len(texts) > 2 * EMBED_CHUNK
+    got = sem.embed_many(texts)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.stack([sem.embed(t) for t in texts]))
+    assert sem.embed("").sum() == 1  # the sentinels' one 2-gram
+    assert sem.embed_many([]).shape == (0, EMBED_DIM)
+
+
+def test_hashing_similarities_equal_per_pair_bit_for_bit():
+    texts = _texts(EMBED_CHUNK + 3, seed=2)
+    for a in ["How many apples does Ann have?", "", "İ", texts[-1], "zzz unseen"]:
+        sem = HashingNgramProvider()
+        got = sem.similarities(a, texts)
+        expected = [sem.similarity(a, t) for t in texts]
+        assert got.tolist() == expected
+        assert all(v == 1.0 for v, t in zip(got.tolist(), texts) if t == a)
+
+
+class _FloatProvider(_CosineProvider):
+    """Deterministic non-integer embeddings, so sums round."""
+
+    def __init__(self, dim=24, zero=(), odd_dim=()):
+        super().__init__()
+        self.dim = dim
+        self.zero = set(zero)
+        self.odd_dim = set(odd_dim)
+
+    def embed(self, text):
+        if text in self.zero:
+            return np.zeros(self.dim)
+        dim = self.dim + 1 if text in self.odd_dim else self.dim
+        return np.random.default_rng(zlib.crc32(text.encode())).normal(size=dim) * 1e3
+
+
+def test_float_similarities_agree_with_per_pair_within_tolerance():
+    texts = [f"text {i}" for i in range(50)] + ["text 3"]
+    sem = _FloatProvider()
+    for a in ["text 3", "query"]:
+        got = sem.similarities(a, texts)
+        expected = np.array([sem.similarity(a, t) for t in texts])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_similarities_cache_one_corpus_entry():
+    sem = _FloatProvider()
+    calls = []
+    embed_many = sem.embed_many
+    sem.embed_many = lambda texts: calls.append(len(texts)) or embed_many(texts)
+    corpus = [f"text {i}" for i in range(10)]
+    sem.similarities("q1", corpus)
+    sem.similarities("q2", list(corpus))
+    assert calls == [10]
+    sem.similarities("q1", corpus[:5])
+    sem.similarities("q1", corpus)
+    assert calls == [10, 5, 10]
+    assert "text 0" not in sem._cache
+
+
+def test_similarities_shared_by_threads_match_each_corpus():
+    sem = HashingNgramProvider()
+    corpora = [["pears", "plums"], ["apple pie", "", "İ"]]
+    expected = [sem.similarities("apples", c).tolist() for c in corpora]
+    mismatches = []
+
+    def work(i):
+        for j in range(300):
+            corpus = corpora[(i + j) % 2]
+            try:
+                got = sem.similarities("apples", corpus).tolist()
+            except Exception as exc:  # a torn cache entry shows as a shape error
+                got = exc
+            if got != expected[(i + j) % 2]:
+                mismatches.append((i, j, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_similarities_raise_zero_vector():
+    sem = _FloatProvider(zero={"blank"})
+    with pytest.raises(ZeroVector):
+        sem.similarities("q", ["x", "blank", "y"])
+    with pytest.raises(ZeroVector):
+        sem.similarities("blank", ["x", "y"])
+
+
+def test_similarities_raise_dimension_mismatch():
+    sem = _FloatProvider(odd_dim={"odd"})
+    with pytest.raises(DimensionMismatch):
+        sem.similarities("q", ["x", "odd", "y"])
+    with pytest.raises(DimensionMismatch):
+        sem.similarities("odd", ["x", "y"])
+
+
+def test_similarities_of_no_texts_is_empty():
+    assert HashingNgramProvider().similarities("q", []).shape == (0,)
 
 
 class _FakeResponse:

@@ -8,6 +8,7 @@ from _oracles import lev_memo, lev_recursive
 from mathcontrast import _kernels
 from mathcontrast.errors import DegenerateInput, DimensionMismatch, ZeroVector
 from mathcontrast.similarity import (
+    Scorer,
     SimilarityConfig,
     cosine,
     levenshtein,
@@ -218,6 +219,20 @@ def test_order_sensitivity():
     assert tree_distance("@-@*@", "@*@-@") > 0
 
 
+@given(aligned_exprs, aligned_exprs)
+def test_tree_distance_symmetric_unless_one_split_operator_is_commutative(a, b):
+    op_a, op_b = split_balanced(a).operator, split_balanced(b).operator
+    if op_a is not None and op_b is not None and (op_a in "+*") != (op_b in "+*"):
+        return
+    assert tree_distance(a, b) == tree_distance(b, a)
+
+
+def test_tree_distance_commutativity_follows_first_operator():
+    # "@*@+@" splits at '+', which may swap; "@-@*@" splits at '-', which may not
+    assert tree_distance("@*@+@", "@-@*@") == 0
+    assert tree_distance("@-@*@", "@*@+@") == 2
+
+
 # ---------------------------------------------------------------------------
 # Logic similarity and the combined score
 # ---------------------------------------------------------------------------
@@ -289,6 +304,18 @@ def test_tls_stays_in_unit_interval(alpha, sem_value, f1, f2):
     cfg = SimilarityConfig(alpha=alpha)
     got = tls(("q1", f1), ("q2", f2), cfg, FixedSem(sem_value))
     assert -1e-12 <= got <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("sem_value", [-0.5, 0.25, 1.5])
+def test_scorer_scores_equal_per_pair_calls(alpha, sem_value):
+    score = Scorer(("q", "@*@+@"), SimilarityConfig(alpha=alpha), FixedSem(sem_value))
+    formulas = ["@+@*@", "@-@", "(@)", "@*@+@", "@-@"]
+    questions = [f"q{i}" for i in range(len(formulas))]
+    got = score.scores(questions, formulas)
+    assert got == [score(q, f) for q, f in zip(questions, formulas)]
+    assert all(type(v) is float for v in got)
+    assert score.scores([], []) == []
 
 
 def test_tls_monotone_in_each_component():
