@@ -8,6 +8,7 @@ scores multi-guess majority-vote runs against any chat backend.
 
 from .corpus import (
     Attempt,
+    Corpus,
     ReferenceExample,
     ScreeningRecord,
     answers_match,
@@ -50,6 +51,7 @@ __all__ = [
     "Attempt",
     "ChatRequest",
     "ChatResponse",
+    "Corpus",
     "DecodingParams",
     "ErrorAnnotation",
     "EvalReport",

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
+import threading
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .datasets import read_jsonl_objects
 from .errors import ParseError, SchemaError
 from .formula import AlignedFormula, align_variables
-from .similarity import Scorer, SemanticProvider, SimilarityConfig
+from .similarity import FormulaTable, Scorer, SemanticProvider, SimilarityConfig
 from .similarity import tls  # noqa: F401 - unused here; perfbench/ patches corpus.tls
 
 REL_TOL = 1e-4
@@ -75,6 +80,59 @@ class ScreeningRecord:
     @property
     def attempt_count(self) -> int:
         return len(self.attempts)
+
+
+class RetrievalIndex:
+    """What scoring a target against a corpus needs, built once from its
+    entries: the question texts, the ``FormulaTable`` of the right
+    formulas, and each entry's rank in ascending id order."""
+
+    def __init__(self, examples: Sequence[ReferenceExample]):
+        self.entries = tuple(examples)
+        self.questions = tuple(ex.question for ex in self.entries)
+        self.table = FormulaTable([ex.right_formula for ex in self.entries])
+        # Python's str order; a numpy 'U' array would drop trailing NULs
+        by_id = sorted(range(len(self.entries)), key=lambda i: self.entries[i].id)
+        self.id_rank = np.empty(len(by_id), dtype=np.intp)
+        self.id_rank[by_id] = np.arange(len(by_id))
+
+    def matches(self, examples: Sequence[ReferenceExample]) -> bool:
+        """Whether ``examples`` holds the very entries the index was built from."""
+        return len(examples) == len(self.entries) and all(
+            map(operator.is_, examples, self.entries)
+        )
+
+
+class Corpus(list):
+    """A list of reference examples that keeps one ``RetrievalIndex``.
+
+    The index is built on first use and built again whenever the entries
+    are no longer the ones it was built from (checked on each use), so a
+    corpus can be edited like any list. Threads may share one corpus.
+    """
+
+    def __init__(self, examples=()):
+        super().__init__(examples)
+        self._index: RetrievalIndex | None = None
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # a copy or a pickle carries the entries, not the index or the lock
+        return Corpus, (list(self),)
+
+    def index(self) -> RetrievalIndex:
+        index = self._index
+        if index is None or not index.matches(self):
+            with self._lock:
+                index = self._index
+                if index is None or not index.matches(self):
+                    index = self._index = RetrievalIndex(self)
+        return index
+
+
+def retrieval_index(examples: Sequence[ReferenceExample]) -> RetrievalIndex:
+    """The kept index of a ``Corpus``; a fresh one for any other sequence."""
+    return examples.index() if isinstance(examples, Corpus) else RetrievalIndex(examples)
 
 
 def _first_alignable(attempts) -> tuple[Attempt, AlignedFormula] | None:
@@ -207,9 +265,9 @@ def save(examples: list[ReferenceExample], path: str | os.PathLike) -> None:
             fh.write(json.dumps(example_to_dict(ex), ensure_ascii=False) + "\n")
 
 
-def load(path: str | os.PathLike) -> list[ReferenceExample]:
-    """Read a corpus; empty file yields an empty list."""
-    return [example_from_dict(obj, line_no) for line_no, obj in read_jsonl_objects(path)]
+def load(path: str | os.PathLike) -> Corpus:
+    """Read a corpus; empty file yields an empty one."""
+    return Corpus(example_from_dict(obj, line_no) for line_no, obj in read_jsonl_objects(path))
 
 
 def record_to_dict(rec: ScreeningRecord) -> dict:

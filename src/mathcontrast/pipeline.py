@@ -15,7 +15,9 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .corpus import ReferenceExample, answers_match
+import numpy as np
+
+from .corpus import ReferenceExample, answers_match, retrieval_index
 from .errors import ExtractionError
 from .formula import AlignedFormula, Chain, _tokenize, find_chains, merge_steps
 from .gateway import ChatBackend, ChatRequest, DecodingParams
@@ -205,15 +207,14 @@ def rank(
     """Score the whole corpus against the target, best first.
 
     Scores equal tls(target, (ex.question, ex.right_formula)), computed
-    in one batch by ``Scorer.scores``; ties break on ascending example
-    id so the order is reproducible.
+    in one batch by ``Scorer.scores`` over the corpus's retrieval index,
+    which a ``Corpus`` keeps across calls; ties break on ascending
+    example id so the order is reproducible.
     """
-    scores = Scorer(target, cfg, sem).scores(
-        [ex.question for ex in examples], [ex.right_formula for ex in examples]
-    )
-    scored = list(zip(examples, scores))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].id))
-    return scored
+    index = retrieval_index(examples)
+    scores = Scorer(target, cfg, sem).scores(index.questions, index.table)
+    order = np.lexsort((index.id_rank, -np.array(scores)))
+    return [(index.entries[i], scores[i]) for i in order.tolist()]
 
 
 def retrieve(

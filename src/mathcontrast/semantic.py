@@ -125,10 +125,13 @@ class HashingNgramProvider(_CosineProvider):
         numpy pass.
 
         Each n-gram is packed into one integer, ``_CODE_BITS`` per code
-        point, so ``np.unique`` finds a chunk's distinct grams and crc32
-        runs once per distinct gram of a chunk.
+        point, so ``np.unique`` finds a chunk's distinct grams. The keys
+        met so far stay sorted with their buckets across chunks, so
+        crc32 runs once per distinct gram of the call.
         """
         out = np.zeros((len(texts), EMBED_DIM))
+        # per n (a 2-gram's key can equal a 3-gram's): sorted keys, buckets
+        known = {n: (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)) for n in (2, 3)}
         for start in range(0, len(texts), EMBED_CHUNK):
             chunk = [f"^{text.lower()}$" for text in texts[start : start + EMBED_CHUNK]]
             joined = "".join(chunk)
@@ -145,15 +148,20 @@ class HashingNgramProvider(_CosineProvider):
                     keys <<= _CODE_BITS
                     keys |= codes[at + j]
                 grams, inverse = np.unique(keys, return_inverse=True)
-                where = np.empty(len(grams), dtype=np.intp)
-                where[inverse] = at  # an occurrence of each distinct gram
-                buckets = np.array(
-                    [
+                known_keys, known_buckets = known[n]
+                new = ~np.isin(grams, known_keys, assume_unique=True)
+                if new.any():
+                    where = np.empty(len(grams), dtype=np.intp)
+                    where[inverse] = at  # an occurrence of each distinct gram
+                    fresh = [
                         zlib.crc32(joined[i : i + n].encode("utf-8")) % EMBED_DIM
-                        for i in where.tolist()
-                    ],
-                    dtype=np.intp,
-                )
+                        for i in where[new].tolist()
+                    ]
+                    known_keys = np.concatenate([known_keys, grams[new]])
+                    known_buckets = np.concatenate([known_buckets, np.array(fresh, dtype=np.intp)])
+                    order = np.argsort(known_keys)
+                    known[n] = known_keys, known_buckets = known_keys[order], known_buckets[order]
+                buckets = known_buckets[np.searchsorted(known_keys, grams)]
                 cells = row[at] * EMBED_DIM + buckets[inverse]
                 counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
         return out

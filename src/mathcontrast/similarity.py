@@ -9,6 +9,7 @@ texts under a configurable weight.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -22,6 +23,8 @@ from .formula import AlignedFormula, SplitResult, split_balanced  # noqa: F401 -
 log = logging.getLogger(__name__)
 
 _COMMUTATIVE = {"+", "*"}
+# entries of one branch-distance memo; a full memo is cleared
+BRANCH_MEMO_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -150,17 +153,108 @@ def _combine(alpha, logic, semantic):
     return alpha * logic + (1.0 - alpha) * semantic
 
 
+def _memo_distance(memo: dict[tuple[str, str], float], a: str, b: str) -> float:
+    """norm_distance(a, b) through ``memo``."""
+    # norm_distance is symmetric, so one entry serves both orders
+    key = (a, b) if a <= b else (b, a)
+    hit = memo.get(key)
+    if hit is None:
+        if len(memo) >= BRANCH_MEMO_LIMIT:
+            memo.clear()
+        hit = memo[key] = norm_distance(a, b)
+    return hit
+
+
+class FormulaTable:
+    """The formulas of a corpus, split once, for the logic similarity of
+    one target against all of them as arrays.
+
+    ``gather`` maps each entry to its distinct text in ``texts``. A
+    distinct formula with a top-level operator has the ids of its left
+    and right branches in one list of distinct ``branches``. ``memo``
+    holds the norm_distance of every pair of strings compared through
+    the table, for all targets scored against it; it is cleared when it
+    reaches ``BRANCH_MEMO_LIMIT`` entries.
+    """
+
+    def __init__(self, formulas: Sequence[AlignedFormula | str]):
+        distinct: dict[str, int] = {}
+        splits: list[SplitResult | None] = []
+        gather = []
+        for formula in formulas:
+            text = _text(formula)
+            at = distinct.get(text)
+            if at is None:
+                at = distinct[text] = len(splits)
+                splits.append(_split(formula) if text else None)
+            gather.append(at)
+        self.gather = np.array(gather, dtype=np.intp)
+        self.texts = list(distinct)
+        self.degenerate = "" in distinct
+        self.memo: dict[tuple[str, str], float] = {}
+        branches: dict[str, int] = {}
+        # formulas without a top-level operator, and those with one and
+        # the ids of their branches
+        self.whole: list[int] = []
+        paired, left, right = [], [], []
+        for at, split in enumerate(splits):
+            if split is None or split.operator is None:
+                self.whole.append(at)
+            else:
+                paired.append(at)
+                left.append(branches.setdefault(split.left, len(branches)))
+                right.append(branches.setdefault(split.right, len(branches)))
+        self.branches = list(branches)
+        self.paired = np.array(paired, dtype=np.intp)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        # the branch ids a target's left and right branch are compared
+        # with, in order and, for a commutative target, in either order
+        # (sets: np.unique would import numpy.ma, about 1.8 MB resident)
+        self.lefts, self.rights = sorted(set(left)), sorted(set(right))
+        self.either = sorted(set(left).union(right))
+
+    def _row(self, branch: str, ids: list[int]) -> np.ndarray:
+        """norm_distance(branch, self.branches[i]) at each i of ``ids``."""
+        row = np.zeros(len(self.branches))
+        row[ids] = [_memo_distance(self.memo, branch, self.branches[i]) for i in ids]
+        return row
+
+    def logic(self, text: str, split: SplitResult | None) -> np.ndarray:
+        """``logic_similarity(text, f)`` for the formula ``f`` of each
+        entry, from ``split = split_balanced(text)``, by the same IEEE
+        operations as ``_split_distance`` and ``_distance_to_similarity``
+        on each element."""
+        if not len(self.gather):
+            return np.zeros(0)
+        if not text or self.degenerate:
+            raise DegenerateInput("tree_distance requires non-empty operands")
+        whole = range(len(self.texts)) if split.operator is None else self.whole
+        distance = np.empty(len(self.texts))
+        distance[whole] = [2 * _memo_distance(self.memo, text, self.texts[i]) for i in whole]
+        if split.operator is not None:
+            commutative = split.operator in _COMMUTATIVE
+            lefts, rights = (self.either, self.either) if commutative else (self.lefts, self.rights)
+            dl, dr = self._row(split.left, lefts), self._row(split.right, rights)
+            pairs = dl[self.left] + dr[self.right]
+            if commutative:
+                pairs = np.minimum(pairs, dl[self.right] + dr[self.left])
+            distance[self.paired] = pairs
+        return (1.0 - np.minimum(distance, 2.0) / 2.0)[self.gather]
+
+
 class Scorer:
     """The combined score of one target (question, formula) against many
     candidates, as ``tls(target, candidate, cfg, sem)``.
 
-    The target is split once. For the scorer's lifetime the logic
-    similarity is memoized per distinct candidate formula text, and
-    norm_distance per distinct unordered branch pair, so a corpus with
-    few distinct formulas costs few edit distances. Pass one
-    ``branch_memo`` dict to several scorers to share branch distances
-    between targets. ``scores`` asks the provider for the semantic term
-    of all candidates at once; a call scores one candidate.
+    The target is split once. A call scores one candidate: for the
+    scorer's lifetime the logic similarity is memoized per distinct
+    candidate formula text, and norm_distance per distinct unordered
+    branch pair, so a corpus with few distinct formulas costs few edit
+    distances. Pass one ``branch_memo`` dict to several scorers to share
+    branch distances between targets. ``scores`` scores many candidates
+    at once, through a ``FormulaTable``, and asks the provider for the
+    semantic term of all of them in one call.
     """
 
     def __init__(
@@ -177,14 +271,7 @@ class Scorer:
         self.split = _split(formula) if self.text else None
         self._logic_memo: dict[str, float] = {}
         self._branch_memo = {} if branch_memo is None else branch_memo
-
-    def _branch_distance(self, a: str, b: str) -> float:
-        # norm_distance is symmetric, so one entry serves both orders
-        key = (a, b) if a <= b else (b, a)
-        hit = self._branch_memo.get(key)
-        if hit is None:
-            hit = self._branch_memo[key] = norm_distance(a, b)
-        return hit
+        self._branch_distance = functools.partial(_memo_distance, self._branch_memo)
 
     def logic(self, formula: AlignedFormula | str) -> float:
         """logic_similarity(target formula, formula)."""
@@ -208,13 +295,23 @@ class Scorer:
         return _combine(alpha, logic, semantic)
 
     def scores(
-        self, questions: Sequence[str], formulas: Sequence[AlignedFormula | str]
+        self,
+        questions: Sequence[str],
+        formulas: Sequence[AlignedFormula | str] | FormulaTable,
     ) -> list[float]:
         """``[self(q, f) for q, f in zip(questions, formulas)]``, bit for
         bit when the provider's ``similarities`` equals its per-pair
-        ``similarity``: the same operations run elementwise in numpy."""
+        ``similarity``: the same operations run elementwise in numpy.
+
+        ``formulas`` may be given as their ``FormulaTable``; one table
+        scored against many targets shares its branch distances.
+        """
         alpha = self.alpha
-        logic = np.array([self.logic(f) for f in formulas]) if alpha > 0.0 else 0.0
+        logic = 0.0
+        if alpha > 0.0:
+            if not isinstance(formulas, FormulaTable):
+                formulas = FormulaTable(formulas)
+            logic = formulas.logic(self.text, self.split)
         if alpha == 1.0:
             return logic.tolist()
         if hasattr(self.sem, "similarities"):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 from mathcontrast import _kernels
 from mathcontrast.corpus import (
     Attempt,
+    Corpus,
     ReferenceExample,
     ScreeningRecord,
     answers_match,
@@ -240,6 +243,19 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save(examples, path)
     assert load(path) == examples
+
+
+def test_load_returns_a_corpus_equal_to_the_list_saved(tmp_path):
+    examples = [_example(1, "Q one?"), _example(2, "Q two?", "7*6"), _example(3, "Q one?")]
+    path = tmp_path / "corpus.jsonl"
+    save(examples, path)
+    loaded = load(path)
+    assert type(loaded) is Corpus
+    assert loaded == examples and examples == loaded
+    loaded.index()
+    for duplicate in (copy.copy(loaded), copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
+        assert type(duplicate) is Corpus
+        assert duplicate == examples
 
 
 def test_load_empty_file(tmp_path):

@@ -1,8 +1,13 @@
+import dataclasses
 import random
+import sys
+import threading
+import time
 
 import pytest
 
-from mathcontrast.corpus import ReferenceExample
+from mathcontrast import _kernels, corpus as corpus_mod
+from mathcontrast.corpus import Corpus, ReferenceExample
 from mathcontrast.errors import ExtractionError
 from mathcontrast.formula import align_variables
 from mathcontrast.gateway import MockBackend
@@ -316,6 +321,107 @@ def test_rank_equals_per_pair_tls_exactly(alpha):
         )
         got = [(ex.id, score) for ex, score in rank(target, examples, cfg, sem)]
         assert got == brute
+
+
+def _brute_rank(target, examples, cfg, sem):
+    return sorted(
+        ((ex, tls(target, (ex.question, ex.right_formula), cfg, sem)) for ex in examples),
+        key=lambda pair: (-pair[1], pair[0].id),
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+def test_rank_breaks_exact_ties_in_python_id_order(alpha):
+    # ids that differ only by trailing NULs, and non-ASCII ids, on
+    # entries whose questions and formulas repeat, so many scores tie
+    ids = ["a", "a\x00", "a\x00\x00", "\x00", "", "b", "é", "e\u0301", "İ", "数", "\U0001F600", "Z"]
+    rng = random.Random(2)
+    examples = []
+    for i, ex_id in enumerate(ids * 2):
+        ex = _example(i, rng.choice(["fish row", "apple seat"]), rng.choice(["1+2", "3*4"]))
+        examples.append(dataclasses.replace(ex, id=ex_id + "x" * (i // len(ids))))
+    rng.shuffle(examples)
+    cfg = SimilarityConfig(alpha=alpha)
+    sem = HashingNgramProvider()
+    for target in [("fish row", "@+@"), ("apple", "@*@-@")]:
+        expected = _brute_rank(target, examples, cfg, sem)
+        assert len({score for _ex, score in expected}) < len(examples) // 4
+        assert rank(target, examples, cfg, sem) == expected
+        assert rank(target, Corpus(examples), cfg, sem) == expected
+
+
+def test_rank_on_an_edited_corpus_equals_brute_force():
+    examples = _seeded_corpus(60, seed=3)
+    extra = _seeded_corpus(66, seed=4)[60:]
+    corpus = Corpus(examples)
+    sem = HashingNgramProvider()
+    edits = [
+        lambda c: c.append(extra[0]),
+        lambda c: c.__setitem__(5, extra[1]),
+        lambda c: c.__delitem__(0),
+        lambda c: c.sort(key=lambda ex: ex.question),
+        lambda c: c.extend(extra[2:]),
+    ]
+    for target in [("apple total row", "@*(@+@)-@"), ("bird", "@")]:
+        assert rank(target, corpus, CFG, sem) == _brute_rank(target, corpus, CFG, sem)
+    for edit in edits:
+        edit(corpus)
+        for target in [("apple total row", "@*(@+@)-@"), ("bird", "@")]:
+            assert rank(target, corpus, CFG, sem) == _brute_rank(target, corpus, CFG, sem)
+
+
+def test_rank_shared_by_threads_builds_one_index_and_matches_sequential_results(monkeypatch):
+    examples = _seeded_corpus(300, seed=6)
+    sem = HashingNgramProvider()
+    targets = [(ex.question, ex.right_formula) for ex in examples[:5]] + [("fish", "@-@*@")]
+    expected = [rank(target, examples, CFG, sem) for target in targets]
+    builds = []
+
+    class CountingIndex(corpus_mod.RetrievalIndex):
+        def __init__(self, entries):
+            builds.append(1)
+            time.sleep(0.05)  # let the other threads reach the build too
+            super().__init__(entries)
+
+    monkeypatch.setattr(corpus_mod, "RetrievalIndex", CountingIndex)
+    corpus = Corpus(examples)
+    mismatches = []
+    start = threading.Barrier(6, timeout=60)
+
+    def work(i):
+        start.wait()
+        for j in range(12):
+            t = (i + j) % len(targets)
+            if rank(targets[t], corpus, CFG, sem) != expected[t]:
+                mismatches.append((i, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert builds == [1]
+
+
+def test_repeated_target_on_one_corpus_computes_no_edit_distance(monkeypatch):
+    corpus = Corpus(_seeded_corpus(120, seed=9))
+    sem = HashingNgramProvider()
+    calls = []
+    kernel = _kernels.levenshtein_codes
+    monkeypatch.setattr(_kernels, "levenshtein_codes", lambda a, b: calls.append(1) or kernel(a, b))
+    for target in [("fish row", "@-@*@"), ("seat", "@")]:
+        first = rank(target, corpus, CFG, sem)
+        assert calls
+        calls.clear()
+        assert rank(target, corpus, CFG, sem) == first
+        assert calls == []
 
 
 class _SimilarityOnly:

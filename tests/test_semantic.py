@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from mathcontrast import semantic
 from mathcontrast.errors import DimensionMismatch, ProviderError, ZeroVector
 from mathcontrast.semantic import (
     EMBED_CHUNK,
@@ -92,6 +93,27 @@ def test_embed_many_equals_stacked_embed_exactly():
     assert np.array_equal(got, np.stack([sem.embed(t) for t in texts]))
     assert sem.embed("").sum() == 1  # the sentinels' one 2-gram
     assert sem.embed_many([]).shape == (0, EMBED_DIM)
+
+
+def test_embed_many_hashes_each_distinct_gram_once(monkeypatch):
+    texts = _texts(3 * EMBED_CHUNK + 5, seed=3)
+    texts += texts[:EMBED_CHUNK]  # a chunk of grams all seen before
+    grams = set()
+    for text in texts:
+        padded = f"^{text.lower()}$"
+        grams.update(padded[i : i + n] for n in (2, 3) for i in range(len(padded) - n + 1))
+    hashed = []
+    crc32 = zlib.crc32
+
+    def counting(data):
+        hashed.append(data)
+        return crc32(data)
+
+    monkeypatch.setattr(semantic.zlib, "crc32", counting)
+    got = HashingNgramProvider().embed_many(texts)
+    assert sorted(hashed) == sorted(gram.encode("utf-8") for gram in grams)
+    monkeypatch.setattr(semantic.zlib, "crc32", crc32)
+    assert np.array_equal(got, np.stack([HashingNgramProvider().embed(t) for t in texts]))
 
 
 def test_hashing_similarities_equal_per_pair_bit_for_bit():

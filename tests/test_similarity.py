@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import lev_memo, lev_recursive
-from mathcontrast import _kernels
+from mathcontrast import _kernels, similarity
 from mathcontrast.errors import DegenerateInput, DimensionMismatch, ZeroVector
+from mathcontrast.formula import AlignedFormula
 from mathcontrast.similarity import (
+    FormulaTable,
     Scorer,
     SimilarityConfig,
     cosine,
@@ -316,6 +318,76 @@ def test_scorer_scores_equal_per_pair_calls(alpha, sem_value):
     assert got == [score(q, f) for q, f in zip(questions, formulas)]
     assert all(type(v) is float for v in got)
     assert score.scores([], []) == []
+
+
+# formulas with and without a top-level operator, ';'-merged steps included
+table_formulas = st.one_of(
+    aligned_exprs,
+    st.sampled_from(["@", "(@+@)", "((@))", "@+@;@*@", "@-@;@", "(@)/@;(@-@)", "@;@"]),
+    st.tuples(aligned_exprs, aligned_exprs).map(";".join),
+)
+
+
+@given(
+    st.lists(table_formulas, min_size=1, max_size=3),
+    st.lists(st.tuples(table_formulas, st.booleans()), max_size=10),
+)
+@settings(max_examples=200)
+def test_formula_table_logic_equals_scalar_reference_bit_for_bit(targets, drawn):
+    # repeated texts, as str and as AlignedFormula
+    drawn = drawn + drawn[:3]
+    formulas = [
+        AlignedFormula(text, text.count("@"), text) if aligned else text
+        for text, aligned in drawn
+    ]
+    table = FormulaTable(formulas)
+    cfg = SimilarityConfig(alpha=1.0)
+    questions = [f"q{i}" for i in range(len(formulas))]
+    # one table scores every target, so later targets hit its shared memo
+    for target in targets + targets[:1]:
+        expected = [logic_similarity(target, f).hex() for f in formulas]
+        got = table.logic(target, split_balanced(target))
+        assert [x.hex() for x in got.tolist()] == expected
+        scores = Scorer(("q", target), cfg, FixedSem(0.0)).scores(questions, formulas)
+        assert [x.hex() for x in scores] == expected
+
+
+def test_formula_table_swaps_branches_for_commutative_targets_only():
+    table = FormulaTable(["@+@*@", "@-@*@"])
+    for target, expected in [("@*@+@", [1.0, 1.0]), ("@*@-@", [0.0, 0.0])]:
+        got = table.logic(target, split_balanced(target)).tolist()
+        assert got == [logic_similarity(target, f) for f in table.texts] == expected
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_scores_raise_degenerate_input_exactly_as_per_pair_calls(alpha):
+    cfg = SimilarityConfig(alpha=alpha)
+    cases = [
+        (("q", "@+@"), ["@*@", "", "@"]),  # an empty candidate
+        (("q", ""), ["@*@", "@"]),  # an empty target
+        (("q", ""), []),
+        (("q", "@"), []),
+    ]
+    for target, formulas in cases:
+        score = Scorer(target, cfg, FixedSem(0.5))
+        questions = ["q"] * len(formulas)
+        try:
+            expected = [score(q, f) for q, f in zip(questions, formulas)]
+        except DegenerateInput:
+            assert alpha > 0.0
+            with pytest.raises(DegenerateInput):
+                score.scores(questions, formulas)
+        else:
+            assert score.scores(questions, formulas) == expected
+
+
+def test_formula_table_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(similarity, "BRANCH_MEMO_LIMIT", 4)
+    table = FormulaTable(["@+@", "(@*@)-@", "@/(@+@)", "(@)", "@*@*@*@"])
+    for target in ["@*@", "@-@-@", "(@+@)/@", "@"]:
+        got = table.logic(target, split_balanced(target)).tolist()
+        assert got == [logic_similarity(target, f) for f in table.texts]
+        assert len(table.memo) <= 4
 
 
 def test_tls_monotone_in_each_component():
