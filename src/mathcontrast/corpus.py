@@ -185,17 +185,21 @@ def dedup(
 
     An example is dropped when its combined similarity against any
     already-kept example exceeds the dedup threshold; order is
-    preserved, so the pass is idempotent. All candidates share one
-    memo of branch distances.
+    preserved, so the pass is idempotent. Each example after the first is
+    scored against the whole retrieval index (kept by a ``Corpus`` for a
+    later ``rank``) in one ``Scorer.scores`` call; only kept entries
+    count. Scores equal per-pair ``tls``, as in ``rank``: float
+    embeddings may differ from per-pair ``similarity`` in the last bit.
+    Like the per-pair scan, two or more entries with one that cannot be
+    scored raise DegenerateInput or ZeroVector.
     """
-    kept: list[ReferenceExample] = []
-    branch_memo: dict[tuple[str, str], float] = {}
-    for ex in examples:
-        score = Scorer((ex.question, ex.right_formula), cfg, sem, branch_memo)
-        if any(score(k.question, k.right_formula) > cfg.dedup_threshold for k in kept):
-            continue
-        kept.append(ex)
-    return kept
+    index = retrieval_index(examples)
+    kept = np.zeros(len(index.entries), dtype=bool)
+    kept[:1] = True
+    for i, ex in enumerate(index.entries[1:], 1):
+        row = Scorer((ex.question, ex.right_formula), cfg, sem).scores(index.questions, index.table)
+        kept[i] = not (row[kept] > cfg.dedup_threshold).any()
+    return [ex for ex, keep in zip(index.entries, kept) if keep]
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,8 @@ def rank(
     """
     index = retrieval_index(examples)
     scores = Scorer(target, cfg, sem).scores(index.questions, index.table)
-    order = np.lexsort((index.id_rank, -np.array(scores)))
+    order = np.lexsort((index.id_rank, -scores))
+    scores = scores.tolist()
     return [(index.entries[i], scores[i]) for i in order.tolist()]
 
 

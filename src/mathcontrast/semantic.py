@@ -26,20 +26,25 @@ EMBED_DIM = 256
 EMBED_CHUNK = 32
 # bits per code point in a packed n-gram key (code points stay below 2**21)
 _CODE_BITS = 21
+# texts in the per-text vector cache of a provider; a full cache is cleared
+EMBED_CACHE_LIMIT = 1 << 13
+# texts per POST of RemoteEmbeddingProvider.embed_many
+EMBED_BATCH = 64
 
 
 class _CosineProvider:
     """Similarity as the cosine of embeddings.
 
-    ``similarity`` caches each text's vector with its norm.
-    ``similarities`` caches one corpus per provider: the embedding
-    matrix of its texts and the row norms, keyed by the texts tuple.
-    Corpus vectors live only in that matrix.
+    ``similarity`` caches each text's vector with its norm, for up to
+    ``EMBED_CACHE_LIMIT`` texts; a full cache is cleared. ``similarities``
+    caches one corpus per provider: the embedding matrix of its texts,
+    the row norms and each text's row, keyed by the texts tuple. Corpus
+    vectors live only in that matrix.
     """
 
     def __init__(self):
         self._cache: dict[str, tuple[np.ndarray, float]] = {}
-        self._corpus: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
+        self._corpus: tuple[tuple[str, ...], np.ndarray, np.ndarray, dict[str, int]] | None = None
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
@@ -60,20 +65,23 @@ class _CosineProvider:
         vec = np.asarray(self.embed(text), dtype=np.float64)
         hit = (vec, np.linalg.norm(vec))
         with self._lock:
+            if len(self._cache) >= EMBED_CACHE_LIMIT:
+                self._cache.clear()
             self._cache[text] = hit
         return hit
 
-    def _corpus_matrix(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _corpus_matrix(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
         key = tuple(texts)
         with self._lock:
             entry = self._corpus
         if entry is None or entry[0] != key:
             matrix = self.embed_many(key)
             # row norms without an n x d temporary
-            entry = (key, matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)))
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+            entry = (key, matrix, norms, {text: i for i, text in enumerate(key)})
             with self._lock:
                 self._corpus = entry
-        return entry[1], entry[2]
+        return entry[1:]
 
     def similarity(self, a: str, b: str) -> float:
         return cosine_normed(*self._embed_cached(a), *self._embed_cached(b))
@@ -88,11 +96,15 @@ class _CosineProvider:
         order BLAS sums in, so each value equals ``similarity``'s bit for
         bit. With float embeddings, such as a remote provider's, the two
         may differ in the last bit.
+
+        When ``a`` is one of ``texts`` its vector is read from the corpus
+        matrix, so scoring a corpus against itself embeds nothing more.
         """
         if not texts:
             return np.zeros(0)
-        u, nu = self._embed_cached(a)
-        matrix, norms = self._corpus_matrix(texts)
+        matrix, norms, rows = self._corpus_matrix(texts)
+        row = rows.get(a)
+        u, nu = self._embed_cached(a) if row is None else (matrix[row], norms[row])
         if matrix.shape[1:] != u.shape:
             raise DimensionMismatch(
                 f"vector dimensions differ: {u.shape} vs {matrix.shape[1:]}"
@@ -177,6 +189,9 @@ class HashingNgramProvider(_CosineProvider):
         return out
 
 
+_RESPONSE_ERRORS = (requests.RequestException, KeyError, IndexError, TypeError, ValueError)
+
+
 class RemoteEmbeddingProvider(_CosineProvider):
     """Embeddings from an HTTP endpoint speaking the common
     ``POST /embeddings {model, input}`` JSON protocol."""
@@ -196,19 +211,38 @@ class RemoteEmbeddingProvider(_CosineProvider):
         self.timeout = timeout
         self.session = session or requests.Session()
 
-    def embed(self, text: str) -> np.ndarray:
+    def _post(self, inputs: str | list[str]) -> list:
+        """The ``data`` items of one POST /embeddings of ``inputs``."""
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        resp = self.session.post(
+            f"{self.endpoint}/embeddings",
+            json={"model": self.model, "input": inputs},
+            headers=headers,
+            timeout=self.timeout,
+        )
+        resp.raise_for_status()
+        return resp.json()["data"]
+
+    def embed(self, text: str) -> np.ndarray:
         try:
-            resp = self.session.post(
-                f"{self.endpoint}/embeddings",
-                json={"model": self.model, "input": text},
-                headers=headers,
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-            return np.asarray(payload["data"][0]["embedding"], dtype=np.float64)
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            return np.asarray(self._post(text)[0]["embedding"], dtype=np.float64)
+        except _RESPONSE_ERRORS as exc:
+            raise ProviderError(f"embedding request failed: {exc}") from exc
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One POST per ``EMBED_BATCH`` texts, ``input`` as a list; the
+        vectors are ordered by each item's ``index``."""
+        vecs = []
+        try:
+            for start in range(0, len(texts), EMBED_BATCH):
+                batch = list(texts[start : start + EMBED_BATCH])
+                data = sorted(self._post(batch), key=lambda item: item["index"])
+                if [item["index"] for item in data] != list(range(len(batch))):
+                    raise ProviderError(f"embedding indices do not match {len(batch)} inputs")
+                vecs += [item["embedding"] for item in data]
+            # ragged vectors raise ValueError
+            return np.array(vecs, dtype=np.float64) if vecs else np.empty((0, 0))
+        except _RESPONSE_ERRORS as exc:
             raise ProviderError(f"embedding request failed: {exc}") from exc

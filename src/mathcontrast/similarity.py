@@ -9,7 +9,6 @@ texts under a configurable weight.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -84,18 +83,6 @@ def _split(a: AlignedFormula | str) -> SplitResult:
     return a.split if isinstance(a, AlignedFormula) else split_balanced(a)
 
 
-def _split_distance(a: str, sa: SplitResult, b: str, sb: SplitResult, dist) -> float:
-    """Tree distance of two formulas from their splits, with ``dist`` the
-    norm_distance of two strings."""
-    if sa.operator is None or sb.operator is None:
-        return 2 * dist(a, b)
-    in_order = dist(sa.left, sb.left) + dist(sa.right, sb.right)
-    if sa.operator in _COMMUTATIVE:
-        swapped = dist(sa.left, sb.right) + dist(sa.right, sb.left)
-        return min(in_order, swapped)
-    return in_order
-
-
 def tree_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     """Split-based tree distance between two aligned formulas.
 
@@ -115,17 +102,20 @@ def tree_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     ta, tb = _text(a), _text(b)
     if not ta or not tb:
         raise DegenerateInput("tree_distance requires non-empty operands")
-    return _split_distance(ta, _split(a), tb, _split(b), norm_distance)
+    sa, sb = _split(a), _split(b)
+    if sa.operator is None or sb.operator is None:
+        return 2 * norm_distance(ta, tb)
+    in_order = norm_distance(sa.left, sb.left) + norm_distance(sa.right, sb.right)
+    if sa.operator in _COMMUTATIVE:
+        swapped = norm_distance(sa.left, sb.right) + norm_distance(sa.right, sb.left)
+        return min(in_order, swapped)
+    return in_order
 
 
 def logic_similarity(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     """Map tree_distance (range [0, 2]) onto a descending-sortable
     similarity in [0, 1]."""
-    return _distance_to_similarity(tree_distance(a, b))
-
-
-def _distance_to_similarity(distance: float) -> float:
-    return 1.0 - min(distance, 2.0) / 2.0
+    return 1.0 - min(tree_distance(a, b), 2.0) / 2.0
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
@@ -223,8 +213,7 @@ class FormulaTable:
     def logic(self, text: str, split: SplitResult | None) -> np.ndarray:
         """``logic_similarity(text, f)`` for the formula ``f`` of each
         entry, from ``split = split_balanced(text)``, by the same IEEE
-        operations as ``_split_distance`` and ``_distance_to_similarity``
-        on each element."""
+        operations as ``logic_similarity`` on each element."""
         if not len(self.gather):
             return np.zeros(0)
         if not text or self.degenerate:
@@ -245,62 +234,28 @@ class FormulaTable:
 
 class Scorer:
     """The combined score of one target (question, formula) against many
-    candidates, as ``tls(target, candidate, cfg, sem)``.
+    candidates, each as ``tls(target, candidate, cfg, sem)``.
 
-    The target is split once. A call scores one candidate: for the
-    scorer's lifetime the logic similarity is memoized per distinct
-    candidate formula text, and norm_distance per distinct unordered
-    branch pair, so a corpus with few distinct formulas costs few edit
-    distances. Pass one ``branch_memo`` dict to several scorers to share
-    branch distances between targets. ``scores`` scores many candidates
-    at once, through a ``FormulaTable``, and asks the provider for the
-    semantic term of all of them in one call.
+    The target is split once. ``scores`` computes the logic term through
+    a ``FormulaTable`` and asks the provider for the semantic term of all
+    candidates in one call.
     """
 
-    def __init__(
-        self,
-        target: ExamplePair,
-        cfg: SimilarityConfig,
-        sem: SemanticProvider,
-        branch_memo: dict[tuple[str, str], float] | None = None,
-    ):
+    def __init__(self, target: ExamplePair, cfg: SimilarityConfig, sem: SemanticProvider):
         self.question, formula = target
         self.alpha = cfg.alpha
         self.sem = sem
         self.text = _text(formula) if self.alpha > 0.0 else ""
         self.split = _split(formula) if self.text else None
-        self._logic_memo: dict[str, float] = {}
-        self._branch_memo = {} if branch_memo is None else branch_memo
-        self._branch_distance = functools.partial(_memo_distance, self._branch_memo)
-
-    def logic(self, formula: AlignedFormula | str) -> float:
-        """logic_similarity(target formula, formula)."""
-        text = _text(formula)
-        hit = self._logic_memo.get(text)
-        if hit is None:
-            if self.split is None or not text:
-                raise DegenerateInput("tree_distance requires non-empty operands")
-            distance = _split_distance(
-                self.text, self.split, text, _split(formula), self._branch_distance
-            )
-            hit = self._logic_memo[text] = _distance_to_similarity(distance)
-        return hit
-
-    def __call__(self, question: str, formula: AlignedFormula | str) -> float:
-        alpha = self.alpha
-        logic = self.logic(formula) if alpha > 0.0 else 0.0
-        if alpha == 1.0:
-            return logic
-        semantic = min(1.0, max(0.0, self.sem.similarity(self.question, question)))
-        return _combine(alpha, logic, semantic)
 
     def scores(
         self,
         questions: Sequence[str],
         formulas: Sequence[AlignedFormula | str] | FormulaTable,
-    ) -> list[float]:
-        """``[self(q, f) for q, f in zip(questions, formulas)]``, bit for
-        bit when the provider's ``similarities`` equals its per-pair
+    ) -> np.ndarray:
+        """``tls(target, (q, f))`` for each pair of ``questions`` and
+        ``formulas``, as a float64 array. The values equal ``tls``'s bit
+        for bit when the provider's ``similarities`` equals its per-pair
         ``similarity``: the same operations run elementwise in numpy.
 
         ``formulas`` may be given as their ``FormulaTable``; one table
@@ -313,14 +268,14 @@ class Scorer:
                 formulas = FormulaTable(formulas)
             logic = formulas.logic(self.text, self.split)
         if alpha == 1.0:
-            return logic.tolist()
+            return logic
         if hasattr(self.sem, "similarities"):
             semantic = self.sem.similarities(self.question, questions)
         else:  # the protocol's minimum: one similarity per pair
             semantic = [self.sem.similarity(self.question, q) for q in questions]
-        # fmax/fmin, like max/min in __call__, map a NaN cosine to 0
+        # fmax/fmin, like max/min in tls, map a NaN cosine to 0
         semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64), 0.0))
-        return _combine(alpha, logic, semantic).tolist()
+        return _combine(alpha, logic, semantic)
 
 
 def tls(
@@ -336,6 +291,11 @@ def tls(
     (logic-only); at alpha 0 the formulas are never compared
     (semantic-only), which also serves as the fallback when a formula
     could not be extracted. To score one target against many
-    candidates, build a ``Scorer`` once instead.
+    candidates, use ``Scorer.scores``.
     """
-    return Scorer(ex1, cfg, sem)(*ex2)
+    alpha = cfg.alpha
+    logic = logic_similarity(ex1[1], ex2[1]) if alpha > 0.0 else 0.0
+    if alpha == 1.0:
+        return logic
+    semantic = min(1.0, max(0.0, sem.similarity(ex1[0], ex2[0])))
+    return _combine(alpha, logic, semantic)

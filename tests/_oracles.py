@@ -2,6 +2,7 @@
 
 These deliberately avoid the package's bottom-up DP kernels: the edit
 distance here is the textbook top-down recursion on string suffixes.
+The dedup reference is the greedy scan of per-pair ``tls`` calls.
 """
 
 from __future__ import annotations
@@ -38,3 +39,17 @@ def lev_memo(a: str, b: str) -> int:
     result = go(0, 0)
     go.cache_clear()
     return result
+
+
+def greedy_dedup(examples, cfg, sem):
+    """Keep each example whose per-pair ``tls`` against every example
+    kept before it is at most the dedup threshold."""
+    from mathcontrast.similarity import tls
+
+    kept = []
+    for ex in examples:
+        pair = (ex.question, ex.right_formula)
+        scores = (tls(pair, (k.question, k.right_formula), cfg, sem) for k in kept)
+        if all(score <= cfg.dedup_threshold for score in scores):
+            kept.append(ex)
+    return kept

@@ -1,13 +1,16 @@
 import copy
+import dataclasses
 import itertools
 import json
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mathcontrast import _kernels
+from _oracles import greedy_dedup
+from mathcontrast import _kernels, corpus as corpus_mod
 from mathcontrast.corpus import (
     Attempt,
     Corpus,
@@ -21,9 +24,10 @@ from mathcontrast.corpus import (
     save,
     screen,
 )
-from mathcontrast.errors import SchemaError
-from mathcontrast.formula import align_variables
-from mathcontrast.semantic import HashingNgramProvider
+from mathcontrast.errors import DegenerateInput, SchemaError, ZeroVector
+from mathcontrast.formula import AlignedFormula, align_variables
+from mathcontrast.pipeline import rank
+from mathcontrast.semantic import EMBED_DIM, HashingNgramProvider
 from mathcontrast.similarity import SimilarityConfig, tls
 
 GOLD = 39.0
@@ -184,6 +188,33 @@ def test_dedup_threshold_above_one_is_identity():
     assert dedup([a, b], cfg, sem) == [a, b]
 
 
+class _WeightedNgrams(HashingNgramProvider):
+    """Float embeddings: n-gram counts times fixed non-integer weights,
+    so dot products round."""
+
+    WEIGHTS = np.random.default_rng(0).uniform(0.5, 1.5, EMBED_DIM)
+
+    def embed(self, text):
+        return super().embed(text) * self.WEIGHTS
+
+    def embed_many(self, texts):
+        return super().embed_many(texts) * self.WEIGHTS
+
+
+class _ZeroFor(HashingNgramProvider):
+    """The offline provider, except that one text embeds to zero."""
+
+    def __init__(self, zero):
+        super().__init__()
+        self.zero = zero
+
+    def embed(self, text):
+        return np.zeros(EMBED_DIM) if text == self.zero else super().embed(text)
+
+    def embed_many(self, texts):
+        return np.stack([self.embed(t) for t in texts]) if texts else np.zeros((0, EMBED_DIM))
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
 def test_dedup_keeps_same_ids_as_greedy_tls_reference(alpha):
     rng = random.Random(3)
@@ -199,17 +230,70 @@ def test_dedup_keeps_same_ids_as_greedy_tls_reference(alpha):
         _example(i, rng.choice(questions), rng.choice(formulas)) for i in range(60)
     ]
     cfg = SimilarityConfig(alpha=alpha, dedup_threshold=0.85)
+    # integer embeddings score exactly as per pair; float ones may differ
+    # in the last bit, which no decision here is close enough to notice
+    for provider in [HashingNgramProvider, _WeightedNgrams]:
+        reference = greedy_dedup(examples, cfg, provider())
+        assert 1 < len(reference) < len(examples)
+        assert [ex.id for ex in dedup(examples, cfg, provider())] == [ex.id for ex in reference]
+
+
+def _outcome(fn):
+    try:
+        return [ex.id for ex in fn()]
+    except (DegenerateInput, ZeroVector) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_dedup_raises_on_degenerate_entries_exactly_as_greedy_tls_reference(alpha):
+    cfg = SimilarityConfig(alpha=alpha)
+    empty = AlignedFormula("", 0, "")
+    a, b = _example(1, "Apples?"), _example(2, "Pears?", "7*6")
+    blank_a, blank_b = (dataclasses.replace(ex, right_formula=empty) for ex in (a, b))
+    blanks = [[blank_a], [blank_a, blank_b], [blank_a, b], [a, blank_b], [a, b, blank_a]]
+    zero = _ZeroFor("Pears?")
+    for sem, cases in [(HashingNgramProvider(), blanks), (zero, [[b], [a, b], [b, a], [a, a, b]])]:
+        for examples in cases:
+            expected = _outcome(lambda: greedy_dedup(examples, cfg, sem))
+            assert _outcome(lambda: dedup(examples, cfg, sem)) == expected
+    # with both defects the first error met may differ, but both raise
+    for examples in blanks[1:]:
+        expected = _outcome(lambda: greedy_dedup(examples, cfg, zero))
+        got = _outcome(lambda: dedup(examples, cfg, zero))
+        assert isinstance(got, type) == isinstance(expected, type)
+    # a single entry is kept unscored; two with one degenerate raise
     sem = HashingNgramProvider()
-    reference = []
-    for ex in examples:
-        pair = (ex.question, ex.right_formula)
-        if all(
-            tls(pair, (k.question, k.right_formula), cfg, sem) <= cfg.dedup_threshold
-            for k in reference
-        ):
-            reference.append(ex)
-    assert 1 < len(reference) < len(examples)
-    assert [ex.id for ex in dedup(examples, cfg, sem)] == [ex.id for ex in reference]
+    assert dedup([blank_a], cfg, sem) == [blank_a]
+    assert dedup([b], cfg, zero) == [b]
+    if alpha > 0.0:
+        with pytest.raises(DegenerateInput):
+            dedup([blank_a, blank_b], cfg, sem)
+    if alpha < 1.0:
+        with pytest.raises(ZeroVector):
+            dedup([a, b], cfg, zero)
+
+
+def test_dedup_on_a_corpus_builds_one_index_that_a_later_rank_reuses(monkeypatch):
+    builds = []
+
+    class CountingIndex(corpus_mod.RetrievalIndex):
+        def __init__(self, entries):
+            builds.append(len(entries))
+            super().__init__(entries)
+
+    monkeypatch.setattr(corpus_mod, "RetrievalIndex", CountingIndex)
+    rng = random.Random(5)
+    formulas = ["32+42", "7*6", "(32+42)-35", "5-2", "(1+2)*3"]
+    corpus = Corpus(_example(i, f"question {i % 7}", rng.choice(formulas)) for i in range(30))
+    cfg, sem = SimilarityConfig(dedup_threshold=0.95), HashingNgramProvider()
+    kept = dedup(corpus, cfg, sem)
+    assert 1 < len(kept) < len(corpus)
+    assert builds == [30]
+    target = (corpus[3].question, corpus[3].right_formula)
+    ranked = rank(target, corpus, cfg, sem)
+    assert builds == [30]
+    assert [(ex.id, score) for ex, score in ranked][0] == (corpus[3].id, 1.0)
 
 
 def test_dedup_computes_each_unordered_branch_pair_once(monkeypatch):

@@ -6,15 +6,20 @@ import zlib
 import numpy as np
 import pytest
 
+from _oracles import greedy_dedup
 from mathcontrast import semantic
+from mathcontrast.corpus import ReferenceExample, dedup
 from mathcontrast.errors import DimensionMismatch, ProviderError, ZeroVector
+from mathcontrast.formula import align_variables
 from mathcontrast.semantic import (
+    EMBED_BATCH,
     EMBED_CHUNK,
     EMBED_DIM,
     HashingNgramProvider,
     RemoteEmbeddingProvider,
     _CosineProvider,
 )
+from mathcontrast.similarity import SimilarityConfig
 
 
 def test_offline_provider_identical_texts_score_one():
@@ -236,16 +241,21 @@ def requests_error(msg):
 
 
 class _FakeSession:
-    def __init__(self, vectors):
+    """Answers ``input`` as one text or a list of texts, with the items
+    in reverse order unless ``reply`` rewrites them."""
+
+    def __init__(self, vectors, reply=lambda data: data[::-1]):
         self.vectors = vectors
+        self.reply = reply
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.requests.append((url, json, headers))
-        text = json["input"]
-        if text not in self.vectors:
+        texts = json["input"] if isinstance(json["input"], list) else [json["input"]]
+        if any(text not in self.vectors for text in texts):
             return _FakeResponse({"error": "unknown"}, status=500)
-        return _FakeResponse({"data": [{"embedding": self.vectors[text]}]})
+        data = [{"index": i, "embedding": self.vectors[t]} for i, t in enumerate(texts)]
+        return _FakeResponse({"data": self.reply(data)})
 
 
 def test_remote_provider_posts_and_scores():
@@ -273,3 +283,79 @@ def test_remote_provider_wraps_failures():
     sem = RemoteEmbeddingProvider("http://emb.local", "m", session=session)
     with pytest.raises(ProviderError):
         sem.similarity("unknown", "also-unknown")
+
+
+def _remote(vectors, **kwargs):
+    session = _FakeSession(vectors, **kwargs)
+    return RemoteEmbeddingProvider("http://emb.local", "m", session=session), session
+
+
+def test_remote_embed_many_posts_batches_ordered_by_index():
+    texts = [f"text {i}" for i in range(2 * EMBED_BATCH + 3)]
+    vectors = {t: np.random.default_rng(i).normal(size=5).tolist() for i, t in enumerate(texts)}
+    sem, session = _remote(vectors)
+    got = sem.embed_many(texts)
+    assert [len(payload["input"]) for _, payload, _ in session.requests] == [
+        EMBED_BATCH,
+        EMBED_BATCH,
+        3,
+    ]
+    single, _ = _remote(vectors)
+    assert np.array_equal(got, np.stack([single.embed(t) for t in texts]))
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        lambda data: data[1:],  # one vector missing
+        lambda data: data + data[:1],  # one vector too many
+        lambda data: [dict(item, index=0) for item in data],  # repeated index
+        lambda data: [dict(item, index=i + 1) for i, item in enumerate(data)],  # off by one
+        lambda data: [{"embedding": item["embedding"]} for item in data],  # no index
+        lambda data: [dict(item, embedding="x") for item in data],  # not a vector
+    ],
+)
+def test_remote_embed_many_rejects_mismatched_replies(reply):
+    sem, _ = _remote({"a": [1.0, 0.0], "b": [0.0, 1.0]}, reply=reply)
+    with pytest.raises(ProviderError):
+        sem.embed_many(["a", "b"])
+
+
+def test_remote_dedup_posts_once_per_batch_and_matches_per_pair_reference():
+    offline = HashingNgramProvider()
+    questions = [f"How many apples does person {i % 50} have?" for i in range(2 * EMBED_BATCH)]
+    # integer vectors, so the batched cosine equals the per-pair one exactly
+    vectors = {q: offline.embed(q).tolist() for q in questions}
+    formulas = ["32+42", "7*6", "(32+42)-35", "5-2"]
+    examples = [
+        ReferenceExample(
+            id=f"ex{i:03d}",
+            question=q,
+            right_reasoning="",
+            right_formula=align_variables(formulas[i % 4]),
+            wrong_reasoning="",
+            wrong_formula=align_variables("1-2"),
+            explanation="",
+            gold_answer=1.0,
+        )
+        for i, q in enumerate(questions)
+    ]
+    cfg = SimilarityConfig(alpha=0.5, dedup_threshold=0.8)
+    sem, session = _remote(vectors)
+    kept = dedup(examples, cfg, sem)
+    # one POST per batch of the corpus; scoring pair by pair makes one per distinct question
+    assert len(session.requests) == len(questions) // EMBED_BATCH
+    reference, _ = _remote(vectors)
+    expected = greedy_dedup(examples, cfg, reference)
+    assert 1 < len(expected) < len(examples)
+    assert kept == expected
+
+
+def test_per_text_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(semantic, "EMBED_CACHE_LIMIT", 3)
+    texts = [f"text {i}" for i in range(8)]
+    sem = _FloatProvider()
+    for a in texts:
+        for b in texts[::-1]:
+            assert sem.similarity(a, b) == _FloatProvider().similarity(a, b)
+            assert len(sem._cache) <= 3
