@@ -32,7 +32,6 @@ from .pipeline import (
 )
 from .semantic import HashingNgramProvider, RemoteEmbeddingProvider
 from .similarity import (
-    Scorer,
     SimilarityConfig,
     SplitResult,
     cosine,
@@ -63,7 +62,6 @@ __all__ = [
     "PreprocessOutput",
     "ReferenceExample",
     "RemoteEmbeddingProvider",
-    "Scorer",
     "ScreeningRecord",
     "SimilarityConfig",
     "SolveTrace",

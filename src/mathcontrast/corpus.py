@@ -21,7 +21,8 @@ import numpy as np
 from .datasets import read_jsonl_objects
 from .errors import ParseError, SchemaError
 from .formula import AlignedFormula, align_variables
-from .similarity import FormulaTable, Scorer, SemanticProvider, SimilarityConfig
+from . import similarity
+from .similarity import FormulaTable, SemanticProvider, SimilarityConfig
 from .similarity import tls  # noqa: F401 - unused here; perfbench/ patches corpus.tls
 
 REL_TOL = 1e-4
@@ -187,7 +188,7 @@ def dedup(
     already-kept example exceeds the dedup threshold; order is
     preserved, so the pass is idempotent. Each example after the first is
     scored against the whole retrieval index (kept by a ``Corpus`` for a
-    later ``rank``) in one ``Scorer.scores`` call; only kept entries
+    later ``rank``) in one ``similarity.scores`` call; only kept entries
     count. Scores equal per-pair ``tls``, as in ``rank``: float
     embeddings may differ from per-pair ``similarity`` in the last bit.
     Like the per-pair scan, two or more entries with one that cannot be
@@ -197,7 +198,8 @@ def dedup(
     kept = np.zeros(len(index.entries), dtype=bool)
     kept[:1] = True
     for i, ex in enumerate(index.entries[1:], 1):
-        row = Scorer((ex.question, ex.right_formula), cfg, sem).scores(index.questions, index.table)
+        target = (ex.question, ex.right_formula)
+        row = similarity.scores(target, index.questions, index.table, cfg, sem)
         kept[i] = not (row[kept] > cfg.dedup_threshold).any()
     return [ex for ex, keep in zip(index.entries, kept) if keep]
 

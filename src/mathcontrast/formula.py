@@ -9,12 +9,11 @@ The parser implements
 over text that may carry currency symbols and thousands separators
 (stripped while tokenizing). Alignment replaces every number and
 identifier with the placeholder '@' so only operator structure remains,
-and an aligned formula's balanced top-level split is computed once.
+and an aligned formula splits at its most balanced top-level operator.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -73,11 +72,6 @@ class AlignedFormula:
             raise ValueError(f"aligned text contains foreign characters: {self.text!r}")
         if not _balanced(self.text):
             raise ValueError(f"aligned text has unbalanced parentheses: {self.text!r}")
-
-    @functools.cached_property
-    def split(self) -> "SplitResult":
-        """``split_balanced(self.text)``, computed on first use; not a field."""
-        return split_balanced(self.text)
 
 
 @dataclass(frozen=True)
@@ -268,8 +262,11 @@ def parse_expression(raw: str) -> ExprNode:
     Currency symbols, backslash escapes, and thousands separators are
     stripped while tokenizing, so error positions refer to the raw input.
     """
-    if not raw or not raw.strip():
-        raise ParseError("empty expression", 0)
+    return _parse(raw)[0]
+
+
+def _parse(raw: str) -> tuple[ExprNode, list[tuple[str, str, int]]]:
+    """``parse_expression(raw)`` and the tokens it parsed."""
     tokens = _tokenize(raw)
     if not tokens:
         raise ParseError("empty expression", 0)
@@ -278,7 +275,7 @@ def parse_expression(raw: str) -> ExprNode:
     if parser._peek() is not None:
         tok = parser._peek()
         raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
-    return node
+    return node, tokens
 
 
 def to_text(node: ExprNode) -> str:
@@ -321,9 +318,8 @@ def align_variables(expr: ExprNode | str) -> AlignedFormula:
     aligned_parts = []
     count = 0
     for part in parts:
-        parse_expression(part)
         out = []
-        for kind, _text, _pos in _tokenize(part):
+        for kind, _text, _pos in _parse(part)[1]:
             if kind in ("number", "ident", "at"):
                 out.append("@")
                 count += 1

@@ -183,16 +183,15 @@ class HttpChatBackend:
         start = time.monotonic()
         usage = {"prompt_tokens": 0, "completion_tokens": 0, "total_tokens": 0}
 
-        def merge_usage(body: dict):
+        def parse(body) -> list[str]:
+            contents, body_usage = _parse_body(body)
             for key in usage:
-                usage[key] += int(body.get("usage", {}).get(key, 0) or 0)
+                usage[key] += int(body_usage.get(key, 0) or 0)
+            return contents
 
         if self.native_sampling or req.sample_count == 1:
             body = self._guarded_post(self.build_payload(req, n=req.sample_count))
-            merge_usage(body)
-            completions = tuple(
-                choice["message"]["content"] for choice in body.get("choices", [])
-            )
+            completions = tuple(parse(body))
         else:
             payload = self.build_payload(req)
             workers = min(self._parallelism, req.sample_count)
@@ -203,14 +202,31 @@ class HttpChatBackend:
                         range(req.sample_count),
                     )
                 )
-            completions = []
-            for body in bodies:
-                merge_usage(body)
-                completions.append(body["choices"][0]["message"]["content"])
-            completions = tuple(completions)
-        if not completions:
-            raise BackendError("backend returned no choices")
+            completions = tuple(parse(body)[0] for body in bodies)
         return ChatResponse(completions, usage, time.monotonic() - start)
+
+
+def _parse_body(body) -> tuple[list[str], dict]:
+    """The completion texts and the ``usage`` object of one chat body.
+
+    A body that is not an object, has no choices, or has a choice whose
+    ``message.content`` is not a string raises BackendError; a missing
+    or non-object ``usage`` reads as empty.
+    """
+    if not isinstance(body, dict):
+        raise BackendError(f"backend body is not a JSON object: {type(body).__name__}")
+    choices = body.get("choices")
+    if not isinstance(choices, list) or not choices:
+        raise BackendError("backend returned no choices")
+    contents = []
+    for choice in choices:
+        message = choice.get("message") if isinstance(choice, dict) else None
+        content = message.get("content") if isinstance(message, dict) else None
+        if not isinstance(content, str):
+            raise BackendError("backend choice has no string message.content")
+        contents.append(content)
+    usage = body.get("usage")
+    return contents, usage if isinstance(usage, dict) else {}
 
 
 def fingerprint(messages: Sequence[Message]) -> str:

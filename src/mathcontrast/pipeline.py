@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import similarity
 from .corpus import ReferenceExample, answers_match, retrieval_index
 from .errors import ExtractionError
 from .formula import AlignedFormula, Chain, _tokenize, find_chains, merge_steps
 from .gateway import ChatBackend, ChatRequest, DecodingParams
 from .prompts import PromptLibrary, contrastive_examples, default_prompts, fixed_prompt
-from .similarity import Scorer, SemanticProvider, SimilarityConfig
+from .similarity import SemanticProvider, SimilarityConfig
 from .similarity import tls  # noqa: F401 - unused here; perfbench/ patches pipeline.tls
 
 log = logging.getLogger(__name__)
@@ -207,12 +208,12 @@ def rank(
     """Score the whole corpus against the target, best first.
 
     Scores equal tls(target, (ex.question, ex.right_formula)), computed
-    in one batch by ``Scorer.scores`` over the corpus's retrieval index,
+    in one batch by ``similarity.scores`` over the corpus's retrieval index,
     which a ``Corpus`` keeps across calls; ties break on ascending
     example id so the order is reproducible.
     """
     index = retrieval_index(examples)
-    scores = Scorer(target, cfg, sem).scores(index.questions, index.table)
+    scores = similarity.scores(target, index.questions, index.table, cfg, sem)
     order = np.lexsort((index.id_rank, -scores))
     scores = scores.tolist()
     return [(index.entries[i], scores[i]) for i in order.tolist()]

@@ -28,10 +28,10 @@ TEMPLATE_NAMES = (
 
 
 class PromptLibrary:
-    """Named prompt texts with optional per-name overrides."""
+    """Named prompt texts with optional per-name overrides, each read once."""
 
     def __init__(self, overrides: dict[str, str] | None = None):
-        self._overrides = dict(overrides or {})
+        self._texts = dict(overrides or {})
 
     @classmethod
     def from_dir(cls, directory: str | Path) -> "PromptLibrary":
@@ -44,11 +44,12 @@ class PromptLibrary:
         return cls(overrides)
 
     def get(self, name: str) -> str:
-        if name in self._overrides:
-            return self._overrides[name]
-        if name not in TEMPLATE_NAMES:
-            raise KeyError(f"unknown prompt template {name!r}")
-        return _builtin_text(name)
+        text = self._texts.get(name)
+        if text is None:
+            if name not in TEMPLATE_NAMES:
+                raise KeyError(f"unknown prompt template {name!r}")
+            text = self._texts[name] = _builtin_text(name)
+        return text
 
 
 def _builtin_text(name: str) -> str:

@@ -48,7 +48,7 @@ class SemanticProvider(Protocol):
     """Similarity of two question texts, in [-1, 1].
 
     A provider may also offer ``similarities(a, texts)``, one score per
-    text as an array; ``Scorer.scores`` uses it when present.
+    text as an array; ``scores`` uses it when present.
     """
 
     def similarity(self, a: str, b: str) -> float: ...
@@ -78,11 +78,6 @@ def norm_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     return 2 * levenshtein(a, b) / (len(a) + len(b))
 
 
-def _split(a: AlignedFormula | str) -> SplitResult:
-    """The balanced split, cached on an AlignedFormula."""
-    return a.split if isinstance(a, AlignedFormula) else split_balanced(a)
-
-
 def tree_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     """Split-based tree distance between two aligned formulas.
 
@@ -102,7 +97,7 @@ def tree_distance(a: AlignedFormula | str, b: AlignedFormula | str) -> float:
     ta, tb = _text(a), _text(b)
     if not ta or not tb:
         raise DegenerateInput("tree_distance requires non-empty operands")
-    sa, sb = _split(a), _split(b)
+    sa, sb = split_balanced(ta), split_balanced(tb)
     if sa.operator is None or sb.operator is None:
         return 2 * norm_distance(ta, tb)
     in_order = norm_distance(sa.left, sb.left) + norm_distance(sa.right, sb.right)
@@ -176,7 +171,7 @@ class FormulaTable:
             at = distinct.get(text)
             if at is None:
                 at = distinct[text] = len(splits)
-                splits.append(_split(formula) if text else None)
+                splits.append(split_balanced(text) if text else None)
             gather.append(at)
         self.gather = np.array(gather, dtype=np.intp)
         self.texts = list(distinct)
@@ -210,14 +205,16 @@ class FormulaTable:
         row[ids] = [_memo_distance(self.memo, branch, self.branches[i]) for i in ids]
         return row
 
-    def logic(self, text: str, split: SplitResult | None) -> np.ndarray:
-        """``logic_similarity(text, f)`` for the formula ``f`` of each
-        entry, from ``split = split_balanced(text)``, by the same IEEE
-        operations as ``logic_similarity`` on each element."""
+    def logic(self, formula: AlignedFormula | str) -> np.ndarray:
+        """``logic_similarity(formula, f)`` for the formula ``f`` of each
+        entry, by the same IEEE operations as ``logic_similarity`` on
+        each element."""
         if not len(self.gather):
             return np.zeros(0)
+        text = _text(formula)
         if not text or self.degenerate:
             raise DegenerateInput("tree_distance requires non-empty operands")
+        split = split_balanced(text)
         whole = range(len(self.texts)) if split.operator is None else self.whole
         distance = np.empty(len(self.texts))
         distance[whole] = [2 * _memo_distance(self.memo, text, self.texts[i]) for i in whole]
@@ -230,52 +227,6 @@ class FormulaTable:
                 pairs = np.minimum(pairs, dl[self.right] + dr[self.left])
             distance[self.paired] = pairs
         return (1.0 - np.minimum(distance, 2.0) / 2.0)[self.gather]
-
-
-class Scorer:
-    """The combined score of one target (question, formula) against many
-    candidates, each as ``tls(target, candidate, cfg, sem)``.
-
-    The target is split once. ``scores`` computes the logic term through
-    a ``FormulaTable`` and asks the provider for the semantic term of all
-    candidates in one call.
-    """
-
-    def __init__(self, target: ExamplePair, cfg: SimilarityConfig, sem: SemanticProvider):
-        self.question, formula = target
-        self.alpha = cfg.alpha
-        self.sem = sem
-        self.text = _text(formula) if self.alpha > 0.0 else ""
-        self.split = _split(formula) if self.text else None
-
-    def scores(
-        self,
-        questions: Sequence[str],
-        formulas: Sequence[AlignedFormula | str] | FormulaTable,
-    ) -> np.ndarray:
-        """``tls(target, (q, f))`` for each pair of ``questions`` and
-        ``formulas``, as a float64 array. The values equal ``tls``'s bit
-        for bit when the provider's ``similarities`` equals its per-pair
-        ``similarity``: the same operations run elementwise in numpy.
-
-        ``formulas`` may be given as their ``FormulaTable``; one table
-        scored against many targets shares its branch distances.
-        """
-        alpha = self.alpha
-        logic = 0.0
-        if alpha > 0.0:
-            if not isinstance(formulas, FormulaTable):
-                formulas = FormulaTable(formulas)
-            logic = formulas.logic(self.text, self.split)
-        if alpha == 1.0:
-            return logic
-        if hasattr(self.sem, "similarities"):
-            semantic = self.sem.similarities(self.question, questions)
-        else:  # the protocol's minimum: one similarity per pair
-            semantic = [self.sem.similarity(self.question, q) for q in questions]
-        # fmax/fmin, like max/min in tls, map a NaN cosine to 0
-        semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64), 0.0))
-        return _combine(alpha, logic, semantic)
 
 
 def tls(
@@ -291,11 +242,41 @@ def tls(
     (logic-only); at alpha 0 the formulas are never compared
     (semantic-only), which also serves as the fallback when a formula
     could not be extracted. To score one target against many
-    candidates, use ``Scorer.scores``.
+    candidates, use ``scores``.
     """
     alpha = cfg.alpha
     logic = logic_similarity(ex1[1], ex2[1]) if alpha > 0.0 else 0.0
     if alpha == 1.0:
         return logic
     semantic = min(1.0, max(0.0, sem.similarity(ex1[0], ex2[0])))
+    return _combine(alpha, logic, semantic)
+
+
+def scores(
+    target: ExamplePair,
+    questions: Sequence[str],
+    table: FormulaTable,
+    cfg: SimilarityConfig,
+    sem: SemanticProvider,
+) -> np.ndarray:
+    """``tls(target, (q, f))`` for each question ``q`` and the formula
+    ``f`` of each entry of ``table``, as a float64 array.
+
+    The values equal ``tls``'s bit for bit when the provider's
+    ``similarities`` equals its per-pair ``similarity``: the same
+    operations run elementwise in numpy. The semantic term of all
+    entries comes from one ``similarities`` call, and one table scored
+    against many targets shares its branch distances.
+    """
+    question, formula = target
+    alpha = cfg.alpha
+    logic = table.logic(formula) if alpha > 0.0 else 0.0
+    if alpha == 1.0:
+        return logic
+    if hasattr(sem, "similarities"):
+        semantic = sem.similarities(question, questions)
+    else:  # the protocol's minimum: one similarity per pair
+        semantic = [sem.similarity(question, q) for q in questions]
+    # fmax/fmin, like max/min in tls, map a NaN cosine to 0
+    semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64), 0.0))
     return _combine(alpha, logic, semantic)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import requests
 
 from mathcontrast import cli
 from mathcontrast.corpus import (
@@ -192,6 +193,33 @@ def test_preprocess_missing_dataset_is_data_error(tmp_path, capsys):
         ]
     )
     assert code == cli.EXIT_DATA
+
+
+class _ContentlessResponse:
+    status_code = 200
+    headers: dict = {}
+    text = '{"choices": [{"message": {}}]}'
+
+    def json(self):
+        return {"choices": [{"message": {}}]}
+
+
+def test_preprocess_malformed_backend_body_is_backend_error(two_problem_run, monkeypatch, capsys):
+    dataset, _script, out = two_problem_run
+    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **kw: _ContentlessResponse())
+    code = cli.main(
+        [
+            "preprocess",
+            "--dataset", str(dataset),
+            "--out", str(out),
+            "--attempts", "3",
+            "--backend", "remote",
+            "--endpoint", "http://llm.local/v1",
+            "--model", "solver-7b",
+        ]
+    )
+    assert code == cli.EXIT_BACKEND
+    assert "no string message.content" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

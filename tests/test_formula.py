@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mathcontrast.errors import MergeError, ParseError
-from mathcontrast import similarity
+from mathcontrast import formula, similarity
 from mathcontrast.formula import (
     ALIGNED_ALPHABET_RE,
     Chain,
@@ -65,6 +65,32 @@ def test_parse_errors_carry_positions(bad):
     with pytest.raises(ParseError) as exc_info:
         parse_expression(bad)
     assert exc_info.value.position >= 0
+    # alignment parses the same tokens, so it fails the same way
+    with pytest.raises(ParseError) as aligned:
+        align_variables(bad)
+    assert str(aligned.value) == str(exc_info.value)
+    assert aligned.value.position == exc_info.value.position
+
+
+def test_align_reports_the_parse_error_of_the_failing_part():
+    with pytest.raises(ParseError) as exc_info:
+        align_variables("1+2;(3*4")
+    assert str(exc_info.value) == "expected ')' (at position 4)"
+    assert exc_info.value.position == 4
+
+
+def test_align_tokenizes_each_part_once(monkeypatch):
+    calls = []
+    tokenize = formula._tokenize
+
+    def counted(s):
+        calls.append(s)
+        return tokenize(s)
+
+    monkeypatch.setattr(formula, "_tokenize", counted)
+    aligned = align_variables("$1,200 + x;3*(4-y);z")
+    assert calls == ["$1,200 + x", "3*(4-y)", "z"]
+    assert (aligned.text, aligned.token_count) == ("@+@;@*(@-@);@", 6)
 
 
 def _exprs():
@@ -205,17 +231,8 @@ def test_chain_three_part_equation():
 
 
 # ---------------------------------------------------------------------------
-# Cached split
+# Re-exports
 # ---------------------------------------------------------------------------
-
-
-def test_aligned_formula_splits_once():
-    formula = align_variables("(32+42)-35")
-    assert formula.split is formula.split
-    assert formula.split == split_balanced(formula.text)
-    # the cached split is not a field: equality and hashing ignore it
-    fresh = align_variables("(32+42)-35")
-    assert fresh == formula and hash(fresh) == hash(formula)
 
 
 def test_similarity_reexports_split_balanced():

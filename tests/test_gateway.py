@@ -251,3 +251,62 @@ def test_http_native_sampling_single_call():
     assert len(got.completions) == 3
     assert len(session.posts) == 1
     assert session.posts[0]["json"]["n"] == 3
+
+
+MALFORMED_BODIES = [
+    {},
+    {"choices": []},
+    {"choices": "hi"},
+    {"choices": [None]},
+    {"choices": [{}]},
+    {"choices": [{"message": "hi"}]},
+    {"choices": [{"message": {}}]},
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": 7}}]},
+    [{"choices": [{"message": {"content": "hi"}}]}],
+    "hi",
+]
+
+
+def _malformed_response(body):
+    response = _FakeResponse(body=body)
+    response._body = body  # _FakeResponse would turn None into {}
+    return response
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES + [None], ids=repr)
+@pytest.mark.parametrize("samples", [1, 3])
+def test_http_malformed_body_is_backend_error(body, samples):
+    # one sample is one request; three are three independent requests
+    session = _FakeSession([_malformed_response(body)] * samples)
+    with pytest.raises(BackendError):
+        _backend(session, parallelism=1).complete(ChatRequest(MSGS, sample_count=samples))
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES, ids=repr)
+def test_http_native_sampling_malformed_body_is_backend_error(body):
+    session = _FakeSession([_malformed_response(body)])
+    with pytest.raises(BackendError):
+        _backend(session, native_sampling=True).complete(ChatRequest(MSGS, sample_count=3))
+
+
+def test_http_one_malformed_choice_fails_the_whole_body():
+    body = _completion_body("g", n=3)
+    body["choices"][1] = {"message": {"content": None}}
+    session = _FakeSession([_FakeResponse(body=body)])
+    with pytest.raises(BackendError):
+        _backend(session, native_sampling=True).complete(ChatRequest(MSGS, sample_count=3))
+
+
+@pytest.mark.parametrize("usage", ["absent", None, [], 12], ids=repr)
+@pytest.mark.parametrize("samples", [1, 3])
+def test_http_unusable_usage_counts_as_zero(usage, samples):
+    body = _completion_body("g")
+    if usage == "absent":
+        del body["usage"]
+    else:
+        body["usage"] = usage
+    session = _FakeSession([_FakeResponse(body=body)] * samples)
+    got = _backend(session, parallelism=1).complete(ChatRequest(MSGS, sample_count=samples))
+    assert got.completions == ("g",) * samples
+    assert got.usage == {"prompt_tokens": 0, "completion_tokens": 0, "total_tokens": 0}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mathcontrast import prompts
 from mathcontrast.pipeline import rank
 from mathcontrast.prompts import (
     PromptLibrary,
@@ -19,6 +20,24 @@ def test_builtin_templates_resolve():
     assert "algebraic form" in lib.get("step3_algebraic")
     assert lib.get("solve_instruction").startswith("Given a math problem")
     assert lib.get("contrastive_header").endswith("wrong answers.")
+
+
+def test_each_template_is_read_once(monkeypatch):
+    reads = []
+    builtin_text = prompts._builtin_text
+
+    def counted(name):
+        reads.append(name)
+        return builtin_text(name)
+
+    monkeypatch.setattr(prompts, "_builtin_text", counted)
+    lib = PromptLibrary()
+    first = lib.get("step2_plan")
+    assert lib.get("step2_plan") == first
+    assert reads == ["step2_plan"]
+    with pytest.raises(KeyError):
+        lib.get("no_such_template")
+    assert reads == ["step2_plan"]
 
 
 def test_unknown_template_rejected():

@@ -10,7 +10,6 @@ from mathcontrast.errors import DegenerateInput, DimensionMismatch, ZeroVector
 from mathcontrast.formula import AlignedFormula
 from mathcontrast.similarity import (
     FormulaTable,
-    Scorer,
     SimilarityConfig,
     cosine,
     levenshtein,
@@ -312,13 +311,12 @@ def test_tls_stays_in_unit_interval(alpha, sem_value, f1, f2):
 @pytest.mark.parametrize("sem_value", [-0.5, 0.25, 1.5])
 def test_scorer_scores_equal_per_pair_calls(alpha, sem_value):
     target, cfg, sem = ("q", "@*@+@"), SimilarityConfig(alpha=alpha), FixedSem(sem_value)
-    score = Scorer(target, cfg, sem)
     formulas = ["@+@*@", "@-@", "(@)", "@*@+@", "@-@"]
     questions = [f"q{i}" for i in range(len(formulas))]
-    got = score.scores(questions, formulas)
+    got = similarity.scores(target, questions, FormulaTable(formulas), cfg, sem)
     assert got.dtype == np.float64
     assert got.tolist() == [tls(target, pair, cfg, sem) for pair in zip(questions, formulas)]
-    assert score.scores([], []).shape == (0,)
+    assert similarity.scores(target, [], FormulaTable([]), cfg, sem).shape == (0,)
 
 
 # formulas with and without a top-level operator, ';'-merged steps included
@@ -347,16 +345,16 @@ def test_formula_table_logic_equals_scalar_reference_bit_for_bit(targets, drawn)
     # one table scores every target, so later targets hit its shared memo
     for target in targets + targets[:1]:
         expected = [logic_similarity(target, f).hex() for f in formulas]
-        got = table.logic(target, split_balanced(target))
+        got = table.logic(target)
         assert [x.hex() for x in got.tolist()] == expected
-        scores = Scorer(("q", target), cfg, FixedSem(0.0)).scores(questions, formulas)
+        scores = similarity.scores(("q", target), questions, table, cfg, FixedSem(0.0))
         assert [x.hex() for x in scores.tolist()] == expected
 
 
 def test_formula_table_swaps_branches_for_commutative_targets_only():
     table = FormulaTable(["@+@*@", "@-@*@"])
     for target, expected in [("@*@+@", [1.0, 1.0]), ("@*@-@", [0.0, 0.0])]:
-        got = table.logic(target, split_balanced(target)).tolist()
+        got = table.logic(target).tolist()
         assert got == [logic_similarity(target, f) for f in table.texts] == expected
 
 
@@ -370,23 +368,22 @@ def test_scores_raise_degenerate_input_exactly_as_per_pair_calls(alpha):
         (("q", "@"), []),
     ]
     for target, formulas in cases:
-        score = Scorer(target, cfg, FixedSem(0.5))
-        questions = ["q"] * len(formulas)
+        questions, table = ["q"] * len(formulas), FormulaTable(formulas)
         try:
             expected = [tls(target, pair, cfg, FixedSem(0.5)) for pair in zip(questions, formulas)]
         except DegenerateInput:
             assert alpha > 0.0
             with pytest.raises(DegenerateInput):
-                score.scores(questions, formulas)
+                similarity.scores(target, questions, table, cfg, FixedSem(0.5))
         else:
-            assert score.scores(questions, formulas).tolist() == expected
+            assert similarity.scores(target, questions, table, cfg, FixedSem(0.5)).tolist() == expected
 
 
 def test_formula_table_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(similarity, "BRANCH_MEMO_LIMIT", 4)
     table = FormulaTable(["@+@", "(@*@)-@", "@/(@+@)", "(@)", "@*@*@*@"])
     for target in ["@*@", "@-@-@", "(@+@)/@", "@"]:
-        got = table.logic(target, split_balanced(target)).tolist()
+        got = table.logic(target).tolist()
         assert got == [logic_similarity(target, f) for f in table.texts]
         assert len(table.memo) <= 4
 
