@@ -187,19 +187,31 @@ def dedup(
     An example is dropped when its combined similarity against any
     already-kept example exceeds the dedup threshold; order is
     preserved, so the pass is idempotent. Each example after the first is
-    scored against the whole retrieval index (kept by a ``Corpus`` for a
-    later ``rank``) in one ``similarity.scores`` call; only kept entries
-    count. Scores equal per-pair ``tls``, as in ``rank``: float
-    embeddings may differ from per-pair ``similarity`` in the last bit.
-    Like the per-pair scan, two or more entries with one that cannot be
-    scored raise DegenerateInput or ZeroVector.
+    scored against the retrieval index (kept by a ``Corpus`` for a later
+    ``rank``) in one ``similarity.scores`` call: the semantic term against
+    every entry, the logic term only against the entries kept before it
+    whose bound ``alpha * 1.0 + (1 - alpha) * semantic`` exceeds the
+    threshold. The bound is never below the score, so no entry skipped
+    could have made the example a duplicate. Scores equal per-pair
+    ``tls``, as in ``rank``: float embeddings may differ from per-pair
+    ``similarity`` in the last bit. Like the per-pair scan, two or more
+    entries with one that cannot be scored raise DegenerateInput or
+    ZeroVector.
     """
     index = retrieval_index(examples)
     kept = np.zeros(len(index.entries), dtype=bool)
     kept[:1] = True
     for i, ex in enumerate(index.entries[1:], 1):
         target = (ex.question, ex.right_formula)
-        row = similarity.scores(target, index.questions, index.table, cfg, sem)
+        row = similarity.scores(
+            target,
+            index.questions,
+            index.table,
+            cfg,
+            sem,
+            rows=np.flatnonzero(kept[:i]),
+            above=cfg.dedup_threshold,
+        )
         kept[i] = not (row[kept] > cfg.dedup_threshold).any()
     return [ex for ex, keep in zip(index.entries, kept) if keep]
 

@@ -85,7 +85,8 @@ class HttpChatBackend:
     exponential backoff. Multi-sample requests are issued as
     independent single-sample calls by default (bounded by
     ``parallelism``); pass ``native_sampling=True`` for backends that
-    accept an ``n`` parameter.
+    accept an ``n`` parameter. A body asked for ``n`` completions that
+    carries another number of choices raises BackendError.
     """
 
     def __init__(
@@ -192,6 +193,10 @@ class HttpChatBackend:
         if self.native_sampling or req.sample_count == 1:
             body = self._guarded_post(self.build_payload(req, n=req.sample_count))
             completions = tuple(parse(body))
+            if len(completions) != req.sample_count:
+                raise BackendError(
+                    f"backend returned {len(completions)} choice(s) for n={req.sample_count}"
+                )
         else:
             payload = self.build_payload(req)
             workers = min(self._parallelism, req.sample_count)

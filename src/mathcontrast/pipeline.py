@@ -204,19 +204,27 @@ def rank(
     examples: list[ReferenceExample],
     cfg: SimilarityConfig,
     sem: SemanticProvider,
+    k: int | None = None,
 ) -> list[tuple[ReferenceExample, float]]:
     """Score the whole corpus against the target, best first.
 
     Scores equal tls(target, (ex.question, ex.right_formula)), computed
     in one batch by ``similarity.scores`` over the corpus's retrieval index,
     which a ``Corpus`` keeps across calls; ties break on ascending
-    example id so the order is reproducible.
+    example id so the order is reproducible. Given ``k``, only the first
+    ``k`` of that order are sorted and returned.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     index = retrieval_index(examples)
     scores = similarity.scores(target, index.questions, index.table, cfg, sem)
-    order = np.lexsort((index.id_rank, -scores))
-    scores = scores.tolist()
-    return [(index.entries[i], scores[i]) for i in order.tolist()]
+    rows = np.arange(len(scores))
+    if k is not None and k < len(rows):
+        # every entry tied with the k-th best score stays for the id order
+        kth = np.partition(scores, len(rows) - k)[len(rows) - k]
+        rows = np.flatnonzero(scores >= kth)
+    order = rows[np.lexsort((index.id_rank[rows], -scores[rows]))][:k]
+    return [(index.entries[i], score) for i, score in zip(order.tolist(), scores[order].tolist())]
 
 
 def retrieve(
@@ -231,7 +239,7 @@ def retrieve(
         raise ValueError(f"k must be >= 1, got {k}")
     if not examples:
         raise ValueError("corpus is empty")
-    return [ex for ex, _score in rank(target, examples, cfg, sem)[:k]]
+    return [ex for ex, _score in rank(target, examples, cfg, sem, k)]
 
 
 def build_contrastive_prompt(
@@ -326,7 +334,7 @@ def solve(
                 )
                 alpha = 0.0
         eff_cfg = SimilarityConfig(alpha, cfg.dedup_threshold)
-        ranked = rank((question, formula), examples, eff_cfg, sem)[:k]
+        ranked = rank((question, formula), examples, eff_cfg, sem, k)
         retrieved_info = tuple((ex.id, score) for ex, score in ranked)
         prompt = build_contrastive_prompt([ex for ex, _ in ranked], question, lib)
 

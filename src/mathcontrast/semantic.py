@@ -38,13 +38,16 @@ class _CosineProvider:
     ``similarity`` caches each text's vector with its norm, for up to
     ``EMBED_CACHE_LIMIT`` texts; a full cache is cleared. ``similarities``
     caches one corpus per provider: the embedding matrix of its texts,
-    the row norms and each text's row, keyed by the texts tuple. Corpus
-    vectors live only in that matrix.
+    the row norms, each text's first row, and each row's first row with
+    the same text, keyed by the texts tuple. Corpus vectors live only in
+    that matrix.
     """
 
     def __init__(self):
         self._cache: dict[str, tuple[np.ndarray, float]] = {}
-        self._corpus: tuple[tuple[str, ...], np.ndarray, np.ndarray, dict[str, int]] | None = None
+        self._corpus: (
+            tuple[tuple[str, ...], np.ndarray, np.ndarray, dict[str, int], np.ndarray] | None
+        ) = None
         self._lock = threading.Lock()
 
     def embed(self, text: str) -> np.ndarray:
@@ -70,7 +73,9 @@ class _CosineProvider:
             self._cache[text] = hit
         return hit
 
-    def _corpus_matrix(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    def _corpus_matrix(
+        self, texts: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
         key = tuple(texts)
         with self._lock:
             entry = self._corpus
@@ -78,7 +83,9 @@ class _CosineProvider:
             matrix = self.embed_many(key)
             # row norms without an n x d temporary
             norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-            entry = (key, matrix, norms, {text: i for i, text in enumerate(key)})
+            rows: dict[str, int] = {}
+            first = np.array([rows.setdefault(text, i) for i, text in enumerate(key)], dtype=np.intp)
+            entry = (key, matrix, norms, rows, first)
             with self._lock:
                 self._corpus = entry
         return entry[1:]
@@ -102,7 +109,7 @@ class _CosineProvider:
         """
         if not texts:
             return np.zeros(0)
-        matrix, norms, rows = self._corpus_matrix(texts)
+        matrix, norms, rows, _first = self._corpus_matrix(texts)
         row = rows.get(a)
         u, nu = self._embed_cached(a) if row is None else (matrix[row], norms[row])
         if matrix.shape[1:] != u.shape:
@@ -185,7 +192,12 @@ class HashingNgramProvider(_CosineProvider):
 
     def similarities(self, a: str, texts: Sequence[str]) -> np.ndarray:
         out = super().similarities(a, texts)
-        out[[text == a for text in texts]] = 1.0
+        if len(out):
+            _matrix, _norms, rows, first = self._corpus_matrix(texts)
+            row = rows.get(a)
+            if row is not None:
+                # the texts equal to ``a`` are the rows whose first row is a's
+                out[first == row] = 1.0
         return out
 
 

@@ -205,28 +205,55 @@ class FormulaTable:
         row[ids] = [_memo_distance(self.memo, branch, self.branches[i]) for i in ids]
         return row
 
-    def logic(self, formula: AlignedFormula | str) -> np.ndarray:
+    def check(self, formula: AlignedFormula | str) -> str:
+        """The text of ``formula``; DegenerateInput when it or an entry
+        of a non-empty table is empty, as ``tree_distance`` would raise."""
+        text = _text(formula)
+        if len(self.gather) and (not text or self.degenerate):
+            raise DegenerateInput("tree_distance requires non-empty operands")
+        return text
+
+    def logic(self, formula: AlignedFormula | str, rows=None) -> np.ndarray:
         """``logic_similarity(formula, f)`` for the formula ``f`` of each
-        entry, by the same IEEE operations as ``logic_similarity`` on
-        each element."""
+        entry, or of each entry at the indices ``rows``, by the same IEEE
+        operations as ``logic_similarity`` on each element.
+
+        Given ``rows``, only the distinct texts and branches those
+        entries gather to are compared.
+        """
         if not len(self.gather):
             return np.zeros(0)
-        text = _text(formula)
-        if not text or self.degenerate:
-            raise DegenerateInput("tree_distance requires non-empty operands")
+        text = self.check(formula)
         split = split_balanced(text)
-        whole = range(len(self.texts)) if split.operator is None else self.whole
-        distance = np.empty(len(self.texts))
+        if rows is None:
+            at, distance = self.gather, np.empty(len(self.texts))
+            whole = range(len(self.texts)) if split.operator is None else self.whole
+            left, right, paired = self.left, self.right, self.paired
+        else:
+            at, distance = self.gather[rows], np.zeros(len(self.texts))
+            need = np.zeros(len(self.texts), dtype=bool)
+            need[at] = True
+            if split.operator is not None:
+                wanted = need[self.paired]
+                left, right, paired = self.left[wanted], self.right[wanted], self.paired[wanted]
+                need[self.paired] = False
+            whole = np.flatnonzero(need).tolist()
         distance[whole] = [2 * _memo_distance(self.memo, text, self.texts[i]) for i in whole]
         if split.operator is not None:
             commutative = split.operator in _COMMUTATIVE
-            lefts, rights = (self.either, self.either) if commutative else (self.lefts, self.rights)
+            if rows is None:
+                lefts, rights = (self.either, self.either) if commutative else (self.lefts, self.rights)
+            else:
+                lefts, rights = set(left.tolist()), set(right.tolist())
+                if commutative:
+                    lefts = rights = lefts | rights
+                lefts, rights = list(lefts), list(rights)
             dl, dr = self._row(split.left, lefts), self._row(split.right, rights)
-            pairs = dl[self.left] + dr[self.right]
+            pairs = dl[left] + dr[right]
             if commutative:
-                pairs = np.minimum(pairs, dl[self.right] + dr[self.left])
-            distance[self.paired] = pairs
-        return (1.0 - np.minimum(distance, 2.0) / 2.0)[self.gather]
+                pairs = np.minimum(pairs, dl[right] + dr[left])
+            distance[paired] = pairs
+        return (1.0 - np.minimum(distance, 2.0) / 2.0)[at]
 
 
 def tls(
@@ -258,6 +285,9 @@ def scores(
     table: FormulaTable,
     cfg: SimilarityConfig,
     sem: SemanticProvider,
+    *,
+    rows=None,
+    above: float | None = None,
 ) -> np.ndarray:
     """``tls(target, (q, f))`` for each question ``q`` and the formula
     ``f`` of each entry of ``table``, as a float64 array.
@@ -267,16 +297,40 @@ def scores(
     operations run elementwise in numpy. The semantic term of all
     entries comes from one ``similarities`` call, and one table scored
     against many targets shares its branch distances.
+
+    ``rows`` (entry indices) and ``above`` (a score) skip entries: one
+    outside ``rows``, or whose score cannot exceed ``above``, reads
+    -inf, and its formula is not compared. Every other entry holds its
+    exact score. The cut is exact: the logic term is at most 1, the
+    semantic term lies in [0, 1], and IEEE rounding is monotone, so
+    ``alpha * 1.0 + (1 - alpha) * semantic`` is never below
+    ``alpha * logic + (1 - alpha) * semantic``; an entry whose bound is
+    at most ``above`` scores at most ``above`` (the threshold algorithm
+    of Fagin, Lotem and Naor, PODS 2001). At alpha 0 the bound is the
+    score; at alpha 1 it is 1.0 and the provider is not asked. A
+    degenerate target or table raises DegenerateInput before the
+    provider is asked, however few entries are left to compare.
     """
     question, formula = target
     alpha = cfg.alpha
-    logic = table.logic(formula) if alpha > 0.0 else 0.0
-    if alpha == 1.0:
-        return logic
-    if hasattr(sem, "similarities"):
-        semantic = sem.similarities(question, questions)
-    else:  # the protocol's minimum: one similarity per pair
-        semantic = [sem.similarity(question, q) for q in questions]
-    # fmax/fmin, like max/min in tls, map a NaN cosine to 0
-    semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64), 0.0))
-    return _combine(alpha, logic, semantic)
+    if alpha > 0.0:
+        table.check(formula)
+    if alpha < 1.0:
+        if hasattr(sem, "similarities"):
+            semantic = sem.similarities(question, questions)
+        else:  # the protocol's minimum: one similarity per pair
+            semantic = [sem.similarity(question, q) for q in questions]
+        # fmax/fmin, like max/min in tls, map a NaN cosine to 0
+        semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64), 0.0))
+    if above is not None:
+        rows = np.arange(len(questions)) if rows is None else np.asarray(rows, dtype=np.intp)
+        if alpha == 1.0:
+            rows = rows if 1.0 > above else rows[:0]
+        else:
+            rows = rows[_combine(alpha, 1.0, semantic[rows]) > above]
+    logic = table.logic(formula, rows) if alpha > 0.0 else 0.0
+    if rows is None:
+        return logic if alpha == 1.0 else _combine(alpha, logic, semantic)
+    out = np.full(len(questions), -np.inf)
+    out[rows] = logic if alpha == 1.0 else _combine(alpha, logic, semantic[rows])
+    return out

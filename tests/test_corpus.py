@@ -7,10 +7,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from _oracles import greedy_dedup
-from mathcontrast import _kernels, corpus as corpus_mod
+from mathcontrast import _kernels, corpus as corpus_mod, similarity
 from mathcontrast.corpus import (
     Attempt,
     Corpus,
@@ -28,7 +28,7 @@ from mathcontrast.errors import DegenerateInput, SchemaError, ZeroVector
 from mathcontrast.formula import AlignedFormula, align_variables
 from mathcontrast.pipeline import rank
 from mathcontrast.semantic import EMBED_DIM, HashingNgramProvider
-from mathcontrast.similarity import SimilarityConfig, tls
+from mathcontrast.similarity import SimilarityConfig, split_balanced, tls
 
 GOLD = 39.0
 
@@ -236,6 +236,73 @@ def test_dedup_keeps_same_ids_as_greedy_tls_reference(alpha):
         reference = greedy_dedup(examples, cfg, provider())
         assert 1 < len(reference) < len(examples)
         assert [ex.id for ex in dedup(examples, cfg, provider())] == [ex.id for ex in reference]
+
+
+DEDUP_FORMULAS = ["32+42", "7*6", "(32+42)-35", "5-2", "(1+2)*3", "9/3+1", "(4)", "42+32", "7*6-1"]
+DEDUP_QUESTIONS = [
+    "How many apples does Ann have?",
+    "How many apples does Ann have now?",
+    "A train travels 60 km.",
+    "Paint covers 12 square meters.",
+]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(DEDUP_QUESTIONS) - 1), st.integers(0, len(DEDUP_FORMULAS) - 1)
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_pruned_dedup_keeps_same_ids_as_greedy_tls_reference(drawn, alpha, threshold):
+    examples = [
+        _example(i, DEDUP_QUESTIONS[q], DEDUP_FORMULAS[f]) for i, (q, f) in enumerate(drawn)
+    ]
+    cfg = SimilarityConfig(alpha=alpha, dedup_threshold=threshold)
+    for provider in [HashingNgramProvider, _WeightedNgrams]:
+        reference = greedy_dedup(examples, cfg, provider())
+        assert [ex.id for ex in dedup(examples, cfg, provider())] == [ex.id for ex in reference]
+
+
+def _pieces(formula):
+    """The strings a target can be compared with for one entry formula:
+    its text and, when it splits, its two branches."""
+    split = split_balanced(formula.text)
+    return {formula.text} if split.operator is None else {formula.text, split.left, split.right}
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_dedup_compares_formulas_only_with_kept_entries_before_the_candidate(monkeypatch, alpha):
+    rng = random.Random(6)
+    formulas = DEDUP_FORMULAS + ["(1+2)-(3*4)", "1*2-3/4", "((5))", "6/(7+8)"]
+    examples = [_example(i, rng.choice(DEDUP_QUESTIONS), rng.choice(formulas)) for i in range(40)]
+    cfg = SimilarityConfig(alpha=alpha, dedup_threshold=0.9)
+    reference = greedy_dedup(examples, cfg, HashingNgramProvider())
+    assert 1 < len(reference) < len(examples)
+    position = {ex.id: i for i, ex in enumerate(examples)}
+    candidates, allowed = itertools.count(1), set()
+    scores, kernel = similarity.scores, _kernels.levenshtein_codes
+
+    def spying(*args, **kwargs):
+        # dedup scores the candidates in order, from the second entry on
+        i = next(candidates)
+        allowed.clear()
+        allowed.update(*(_pieces(ex.right_formula) for ex in reference if position[ex.id] < i))
+        return scores(*args, **kwargs)
+
+    def counting(a, b):
+        # a is the candidate's side, b an entry's
+        assert b in allowed
+        return kernel(a, b)
+
+    monkeypatch.setattr(similarity, "scores", spying)
+    monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
+    assert dedup(examples, cfg, HashingNgramProvider()) == reference
 
 
 def _outcome(fn):

@@ -253,6 +253,14 @@ def test_http_native_sampling_single_call():
     assert session.posts[0]["json"]["n"] == 3
 
 
+@pytest.mark.parametrize("choices", [1, 4])
+def test_http_native_sampling_wrong_choice_count_is_backend_error(choices):
+    session = _FakeSession([_FakeResponse(body=_completion_body("g", n=choices))])
+    with pytest.raises(BackendError, match=f"{choices} choice"):
+        _backend(session, native_sampling=True).complete(ChatRequest(MSGS, sample_count=3))
+    assert len(session.posts) == 1
+
+
 MALFORMED_BODIES = [
     {},
     {"choices": []},

@@ -350,6 +350,27 @@ def test_rank_breaks_exact_ties_in_python_id_order(alpha):
         assert rank(target, Corpus(examples), cfg, sem) == expected
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+def test_rank_top_k_equals_the_head_of_the_full_order(alpha):
+    # the tie-heavy corpus above: ids differ by trailing NULs, scores repeat
+    ids = ["a", "a\x00", "a\x00\x00", "\x00", "", "b", "é", "e\u0301", "İ", "数", "\U0001F600", "Z"]
+    rng = random.Random(3)
+    examples = Corpus(
+        dataclasses.replace(
+            _example(i, rng.choice(["fish row", "apple seat"]), rng.choice(["1+2", "3*4"])),
+            id=ex_id + "x" * (i // len(ids)),
+        )
+        for i, ex_id in enumerate(ids * 2)
+    )
+    cfg, sem = SimilarityConfig(alpha=alpha), HashingNgramProvider()
+    for target in [("fish row", "@+@"), ("apple", "@*@-@")]:
+        full = rank(target, examples, cfg, sem)
+        for k in range(1, len(examples) + 2):
+            assert rank(target, examples, cfg, sem, k) == full[:k]
+        with pytest.raises(ValueError):
+            rank(target, examples, cfg, sem, 0)
+
+
 def test_rank_on_an_edited_corpus_equals_brute_force():
     examples = _seeded_corpus(60, seed=3)
     extra = _seeded_corpus(66, seed=4)[60:]

@@ -131,6 +131,21 @@ def test_hashing_similarities_equal_per_pair_bit_for_bit():
         assert all(v == 1.0 for v, t in zip(got.tolist(), texts) if t == a)
 
 
+def test_hashing_similarities_score_every_copy_of_a_repeated_text_one():
+    base = _texts(12, seed=4)
+    texts = base + base[:3] + [base[1], base[1]] + base[5:7]
+    for a in [base[0], base[1], base[5], base[9], "zzz unseen"]:
+        sem = HashingNgramProvider()
+        got = sem.similarities(a, texts).tolist()
+        expected = [sem.similarity(a, t) for t in texts]
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        # the cosine, with each text equal to a set to 1.0
+        cosine = _CosineProvider.similarities(sem, a, texts)
+        cosine[[t == a for t in texts]] = 1.0
+        assert [v.hex() for v in got] == [v.hex() for v in cosine.tolist()]
+        assert got.count(1.0) == texts.count(a)
+
+
 class _FloatProvider(_CosineProvider):
     """Deterministic non-integer embeddings, so sums round."""
 

@@ -8,6 +8,7 @@ from _oracles import lev_memo, lev_recursive
 from mathcontrast import _kernels, similarity
 from mathcontrast.errors import DegenerateInput, DimensionMismatch, ZeroVector
 from mathcontrast.formula import AlignedFormula
+from mathcontrast.semantic import HashingNgramProvider
 from mathcontrast.similarity import (
     FormulaTable,
     SimilarityConfig,
@@ -377,6 +378,88 @@ def test_scores_raise_degenerate_input_exactly_as_per_pair_calls(alpha):
                 similarity.scores(target, questions, table, cfg, FixedSem(0.5))
         else:
             assert similarity.scores(target, questions, table, cfg, FixedSem(0.5)).tolist() == expected
+
+
+class _NoProvider:
+    """A provider that must not be asked."""
+
+    def similarity(self, a, b):
+        raise AssertionError("provider asked")
+
+    similarities = similarity
+
+
+@given(
+    st.lists(table_formulas, min_size=1, max_size=12),
+    table_formulas,
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.lists(st.integers(0, 11), max_size=12),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_scores_given_rows_and_bound_keep_exact_values_of_every_entry_that_can_exceed_it(
+    formulas, target, alpha, picked, above
+):
+    questions = [f"question {i % 4} {formulas[i]}" for i in range(len(formulas))]
+    cfg, sem = SimilarityConfig(alpha=alpha), HashingNgramProvider()
+    pair = ("question 1 @", target)
+    expected = [tls(pair, ex, cfg, sem).hex() for ex in zip(questions, formulas)]
+    # without rows or a bound: every entry, equal to per-pair tls by float.hex
+    full = similarity.scores(pair, questions, FormulaTable(formulas), cfg, sem)
+    assert [x.hex() for x in full.tolist()] == expected
+    rows = sorted({i for i in picked if i < len(formulas)})
+    got = similarity.scores(
+        pair, questions, FormulaTable(formulas), cfg, sem, rows=rows, above=above
+    ).tolist()
+    for i, score in enumerate(got):
+        semantic = min(1.0, max(0.0, sem.similarity(pair[0], questions[i])))
+        bound = 1.0 if alpha == 1.0 else alpha * 1.0 + (1.0 - alpha) * semantic
+        assert full[i] <= bound
+        if i not in rows or (above is not None and bound <= above):
+            assert score == -np.inf
+        else:
+            assert score.hex() == expected[i]
+
+
+def test_scores_with_a_bound_skip_only_entries_whose_bound_rules_them_out(monkeypatch):
+    compared = []
+    kernel = _kernels.levenshtein_codes
+
+    def counting(a, b):
+        compared.append(b)
+        return kernel(a, b)
+
+    monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
+    formulas = ["@+@", "@-@", "@*@", "(@)"]
+    table = FormulaTable(formulas)
+    # semantic 0.5 bounds each score by alpha + 0.25 at alpha 0.5
+    cfg, sem = SimilarityConfig(alpha=0.5), FixedSem(0.5)
+    got = similarity.scores(("q", "@/@"), ["q"] * 4, table, cfg, sem, above=0.75)
+    assert got.tolist() == [-np.inf] * 4 and not compared
+    got = similarity.scores(("q", "@/@"), ["q"] * 4, table, cfg, sem, rows=[1, 3], above=0.7)
+    expected = [tls(("q", "@/@"), ("q", f), cfg, sem) for f in formulas]
+    assert got.tolist() == [-np.inf, expected[1], -np.inf, expected[3]]
+    assert set(compared) <= {"@", "(@)"}
+    # at alpha 1 the bound is 1.0 and the provider is not asked
+    logic_only = SimilarityConfig(alpha=1.0)
+    got = similarity.scores(("q", "@+@"), ["q"] * 4, table, logic_only, _NoProvider(), above=0.99)
+    assert got.tolist() == [logic_similarity("@+@", f) for f in formulas]
+    got = similarity.scores(("q", "@+@"), ["q"] * 4, table, logic_only, _NoProvider(), above=1.0)
+    assert got.tolist() == [-np.inf] * 4
+    # at alpha 0 the bound is the score, and no formula is compared
+    compared.clear()
+    semantic_only = SimilarityConfig(alpha=0.0)
+    got = similarity.scores(("q", "@"), ["q"] * 4, table, semantic_only, sem, rows=[0, 2], above=0.4)
+    assert got.tolist() == [0.5, -np.inf, 0.5, -np.inf] and not compared
+
+
+def test_scores_raise_degenerate_input_before_the_provider_however_few_rows_are_left():
+    cfg = SimilarityConfig(alpha=0.5)
+    for target, formulas in [(("q", "@+@"), ["@*@", "", "@"]), (("q", ""), ["@*@", "@"])]:
+        questions, table = ["q"] * len(formulas), FormulaTable(formulas)
+        for rows, above in [(None, None), ([], None), ([0], 1.0), (None, 1.0)]:
+            with pytest.raises(DegenerateInput):
+                similarity.scores(target, questions, table, cfg, _NoProvider(), rows=rows, above=above)
 
 
 def test_formula_table_memo_is_bounded(monkeypatch):
