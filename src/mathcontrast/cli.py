@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import corpus as corpus_io
 from . import datasets, evaluation, pipeline
-from .errors import ExtractionError, GatewayError, MathContrastError
+from .errors import ExtractionError, GatewayError, MathContrastError, SchemaError
 from .formula import align_variables
 from .gateway import DecodingParams, HttpChatBackend, MockBackend
 from .semantic import HashingNgramProvider, RemoteEmbeddingProvider
@@ -31,6 +31,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+
+# the JSON values a config field of each declared type accepts
+_CONFIG_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
 
 @dataclass
@@ -83,14 +86,19 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
+        """The config a JSON object holds; SchemaError names a field whose
+        value does not match its declared type (a float field takes an
+        int, no field takes a boolean)."""
+        obj = datasets.read_json_object(path)
+        known = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(obj) - set(known)
         if unknown:
             raise MathContrastError(
                 f"unknown config keys in {path}: {', '.join(sorted(unknown))}"
             )
+        for name, value in obj.items():
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[known[name]]):
+                raise SchemaError(f"{name} is not of type {known[name]}", 1, name)
         return cls(**obj)
 
     def echo(self) -> None:
@@ -246,10 +254,9 @@ def cmd_retrieve(args) -> int:
         log.warning("no --formula given; retrieval is semantic-only")
         sim_cfg = SimilarityConfig(alpha=0.0, dedup_threshold=cfg.dedup_threshold)
         target = (args.question, "")
-    k = min(cfg.k, len(examples))
     if cfg.k > len(examples):
         log.warning("k=%d exceeds corpus size %d; using all", cfg.k, len(examples))
-    for ex, score in pipeline.rank(target, examples, sim_cfg, _make_sem(cfg))[:k]:
+    for ex, score in pipeline.rank(target, examples, sim_cfg, _make_sem(cfg), cfg.k):
         print(f"{ex.id} {score:.4f}")
     return EXIT_OK
 
@@ -261,7 +268,7 @@ def cmd_solve(args) -> int:
         args.question,
         examples,
         _make_backend(cfg),
-        min(cfg.k, len(examples)) if examples else cfg.k,
+        cfg.k,
         cfg.guesses,
         _sim_config(cfg),
         _make_sem(cfg),
@@ -283,10 +290,8 @@ def cmd_eval(args) -> int:
     if cfg.sample:
         problems = datasets.subsample(problems, cfg.sample, cfg.seed)
     examples = corpus_io.load(cfg.corpus_path) if cfg.corpus_path else []
-    k = cfg.k
-    if examples and k > len(examples):
-        log.warning("k=%d exceeds corpus size %d; using all", k, len(examples))
-        k = len(examples)
+    if examples and cfg.k > len(examples):
+        log.warning("k=%d exceeds corpus size %d; using all", cfg.k, len(examples))
     backend = _make_backend(cfg)
     parallelism = cfg.parallelism
     if isinstance(backend, MockBackend) and backend.stateful:
@@ -297,7 +302,7 @@ def cmd_eval(args) -> int:
         problems,
         examples,
         backend,
-        k,
+        cfg.k,
         cfg.guesses,
         _sim_config(cfg),
         _make_sem(cfg),

@@ -212,7 +212,7 @@ def dedup(
             rows=np.flatnonzero(kept[:i]),
             above=cfg.dedup_threshold,
         )
-        kept[i] = not (row[kept] > cfg.dedup_threshold).any()
+        kept[i] = not (row > cfg.dedup_threshold).any()
     return [ex for ex, keep in zip(index.entries, kept) if keep]
 
 

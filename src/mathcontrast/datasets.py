@@ -43,6 +43,21 @@ def read_jsonl_objects(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
+def read_json_object(path: str | os.PathLike) -> dict:
+    """The JSON object that a whole file holds. Invalid JSON raises
+    SchemaError at the decoder's line, and a document that is not an
+    object raises it at line 1."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}", exc.lineno)
+    if not isinstance(obj, dict):
+        raise SchemaError("document is not an object", 1)
+    return obj
+
+
 def end_last_line(path: str | os.PathLike) -> bytes:
     """Make a line-delimited JSON file end at a line boundary, so that
     the next append starts a line of its own.

@@ -20,10 +20,12 @@ from typing import Protocol, Sequence
 
 import requests
 
+from .datasets import read_json_object
 from .errors import (
     AuthError,
     BackendError,
     RateLimited,
+    SchemaError,
     TransportError,
     UnknownPrompt,
 )
@@ -240,6 +242,10 @@ def fingerprint(messages: Sequence[Message]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 class MockBackend:
     """Deterministic scripted backend for offline runs and tests.
 
@@ -280,17 +286,39 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path) -> "MockBackend":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        """The backend a JSON script describes; SchemaError names the
+        field of a malformed script."""
+        obj = read_json_object(path)
+        script = obj.get("fingerprints") or {}
+        if not isinstance(script, dict) or not all(map(_strings, script.values())):
+            raise SchemaError("fingerprints is not a map of string lists", 1, "fingerprints")
+        rules = obj.get("rules") or []
+        if not isinstance(rules, list):
+            raise SchemaError("rules is not a list", 1, "rules")
+        for i, rule in enumerate(rules):
+            if not (
+                isinstance(rule, dict)
+                and (isinstance(rule.get("contains"), str) or _strings(rule.get("contains")))
+                and _strings(rule.get("completions"))
+            ):
+                raise SchemaError(
+                    f"rule {i} needs 'contains' (a string or string list) and "
+                    "'completions' (a string list)",
+                    1,
+                    "rules",
+                )
+        default = obj.get("default")
+        if not isinstance(default, (str, type(None))):
+            raise SchemaError("default is not a string", 1, "default")
+        for name in ("strict", "stateful"):
+            if not isinstance(obj.get(name, False), bool):
+                raise SchemaError(f"{name} is not a boolean", 1, name)
         return cls(
-            script=obj.get("fingerprints") or {},
-            rules=[
-                (rule["contains"], rule["completions"])
-                for rule in obj.get("rules", ())
-            ],
-            default=obj.get("default"),
-            strict=bool(obj.get("strict", False)),
-            stateful=bool(obj.get("stateful", False)),
+            script=script,
+            rules=[(rule["contains"], rule["completions"]) for rule in rules],
+            default=default,
+            strict=obj.get("strict", False),
+            stateful=obj.get("stateful", False),
         )
 
     def _lookup(self, req: ChatRequest) -> tuple[str, list[str]]:

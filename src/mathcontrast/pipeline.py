@@ -211,8 +211,11 @@ def rank(
     Scores equal tls(target, (ex.question, ex.right_formula)), computed
     in one batch by ``similarity.scores`` over the corpus's retrieval index,
     which a ``Corpus`` keeps across calls; ties break on ascending
-    example id so the order is reproducible. Given ``k``, only the first
-    ``k`` of that order are sorted and returned.
+    example id so the order is reproducible. The raw scores are sorted,
+    so the order is exact given the same embeddings and the same BLAS
+    build; another build may sum a float embedding's dot product in
+    another order and break a near tie the other way. Given ``k``, only
+    the first ``k`` of that order are sorted and returned.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -235,8 +238,6 @@ def retrieve(
     sem: SemanticProvider,
 ) -> list[ReferenceExample]:
     """Top-k most similar reference examples (fewer if the corpus is smaller)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if not examples:
         raise ValueError("corpus is empty")
     return [ex for ex, _score in rank(target, examples, cfg, sem, k)]

@@ -33,7 +33,8 @@ EMBED_BATCH = 64
 
 
 class _CosineProvider:
-    """Similarity as the cosine of embeddings.
+    """Similarity as the cosine of embeddings; identical texts score 1.0
+    exactly, whatever their rounded self-cosine.
 
     ``similarity`` caches each text's vector with its norm, for up to
     ``EMBED_CACHE_LIMIT`` texts; a full cache is cleared. ``similarities``
@@ -91,7 +92,9 @@ class _CosineProvider:
         return entry[1:]
 
     def similarity(self, a: str, b: str) -> float:
-        return cosine_normed(*self._embed_cached(a), *self._embed_cached(b))
+        # the cosine still runs for a == b, so its errors match ``similarities``
+        value = cosine_normed(*self._embed_cached(a), *self._embed_cached(b))
+        return 1.0 if a == b else value
 
     def similarities(self, a: str, texts: Sequence[str]) -> np.ndarray:
         """``[similarity(a, t) for t in texts]`` as one matrix-vector
@@ -102,14 +105,15 @@ class _CosineProvider:
         every dot product and squared norm is an exact integer whatever
         order BLAS sums in, so each value equals ``similarity``'s bit for
         bit. With float embeddings, such as a remote provider's, the two
-        may differ in the last bit.
+        may differ in the last bit, except at the texts equal to ``a``,
+        which both score 1.0.
 
         When ``a`` is one of ``texts`` its vector is read from the corpus
         matrix, so scoring a corpus against itself embeds nothing more.
         """
         if not texts:
             return np.zeros(0)
-        matrix, norms, rows, _first = self._corpus_matrix(texts)
+        matrix, norms, rows, first = self._corpus_matrix(texts)
         row = rows.get(a)
         u, nu = self._embed_cached(a) if row is None else (matrix[row], norms[row])
         if matrix.shape[1:] != u.shape:
@@ -118,7 +122,11 @@ class _CosineProvider:
             )
         if nu == 0.0 or not norms.all():
             raise ZeroVector("cosine similarity is undefined for a zero vector")
-        return (matrix @ u) / (nu * norms)
+        out = (matrix @ u) / (nu * norms)
+        if row is not None:
+            # the texts equal to ``a`` are the rows whose first row is a's
+            out[first == row] = 1.0
+        return out
 
 
 class HashingNgramProvider(_CosineProvider):
@@ -126,8 +134,8 @@ class HashingNgramProvider(_CosineProvider):
 
     Texts are lowercased, padded with sentinels, and their 2- and
     3-grams counted into buckets chosen by crc32 (a stable hash, unlike
-    Python's). Identical texts score 1.0 exactly; the padding guarantees
-    a non-zero vector even for empty text.
+    Python's). The padding guarantees a non-zero vector even for empty
+    text.
     """
 
     def embed(self, text: str) -> np.ndarray:
@@ -183,21 +191,6 @@ class HashingNgramProvider(_CosineProvider):
                 buckets = known_buckets[np.searchsorted(known_keys, grams)]
                 cells = row[at] * EMBED_DIM + buckets[inverse]
                 counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
-        return out
-
-    def similarity(self, a: str, b: str) -> float:
-        if a == b:
-            return 1.0
-        return super().similarity(a, b)
-
-    def similarities(self, a: str, texts: Sequence[str]) -> np.ndarray:
-        out = super().similarities(a, texts)
-        if len(out):
-            _matrix, _norms, rows, first = self._corpus_matrix(texts)
-            row = rows.get(a)
-            if row is not None:
-                # the texts equal to ``a`` are the rows whose first row is a's
-                out[first == row] = 1.0
         return out
 
 

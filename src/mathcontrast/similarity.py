@@ -178,14 +178,10 @@ class FormulaTable:
         self.degenerate = "" in distinct
         self.memo: dict[tuple[str, str], float] = {}
         branches: dict[str, int] = {}
-        # formulas without a top-level operator, and those with one and
-        # the ids of their branches
-        self.whole: list[int] = []
+        # the formulas with a top-level operator and the ids of their branches
         paired, left, right = [], [], []
         for at, split in enumerate(splits):
-            if split is None or split.operator is None:
-                self.whole.append(at)
-            else:
+            if split is not None and split.operator is not None:
                 paired.append(at)
                 left.append(branches.setdefault(split.left, len(branches)))
                 right.append(branches.setdefault(split.right, len(branches)))
@@ -193,14 +189,11 @@ class FormulaTable:
         self.paired = np.array(paired, dtype=np.intp)
         self.left = np.array(left, dtype=np.intp)
         self.right = np.array(right, dtype=np.intp)
-        # the branch ids a target's left and right branch are compared
-        # with, in order and, for a commutative target, in either order
-        # (sets: np.unique would import numpy.ma, about 1.8 MB resident)
-        self.lefts, self.rights = sorted(set(left)), sorted(set(right))
-        self.either = sorted(set(left).union(right))
 
-    def _row(self, branch: str, ids: list[int]) -> np.ndarray:
-        """norm_distance(branch, self.branches[i]) at each i of ``ids``."""
+    def _row(self, branch: str, mask: np.ndarray) -> np.ndarray:
+        """norm_distance(branch, self.branches[i]) at each i where
+        ``mask`` is set, 0 elsewhere."""
+        ids = np.flatnonzero(mask).tolist()
         row = np.zeros(len(self.branches))
         row[ids] = [_memo_distance(self.memo, branch, self.branches[i]) for i in ids]
         return row
@@ -218,36 +211,30 @@ class FormulaTable:
         entry, or of each entry at the indices ``rows``, by the same IEEE
         operations as ``logic_similarity`` on each element.
 
-        Given ``rows``, only the distinct texts and branches those
-        entries gather to are compared.
+        Only the distinct texts and branches those entries gather to are
+        compared.
         """
         if not len(self.gather):
             return np.zeros(0)
         text = self.check(formula)
         split = split_balanced(text)
-        if rows is None:
-            at, distance = self.gather, np.empty(len(self.texts))
-            whole = range(len(self.texts)) if split.operator is None else self.whole
-            left, right, paired = self.left, self.right, self.paired
-        else:
-            at, distance = self.gather[rows], np.zeros(len(self.texts))
-            need = np.zeros(len(self.texts), dtype=bool)
-            need[at] = True
-            if split.operator is not None:
-                wanted = need[self.paired]
-                left, right, paired = self.left[wanted], self.right[wanted], self.paired[wanted]
-                need[self.paired] = False
-            whole = np.flatnonzero(need).tolist()
+        at = self.gather if rows is None else self.gather[rows]
+        distance = np.zeros(len(self.texts))
+        need = np.zeros(len(self.texts), dtype=bool)
+        need[at] = True
+        if split.operator is not None:
+            wanted = need[self.paired]
+            left, right, paired = self.left[wanted], self.right[wanted], self.paired[wanted]
+            need[self.paired] = False
+        whole = np.flatnonzero(need).tolist()
         distance[whole] = [2 * _memo_distance(self.memo, text, self.texts[i]) for i in whole]
         if split.operator is not None:
             commutative = split.operator in _COMMUTATIVE
-            if rows is None:
-                lefts, rights = (self.either, self.either) if commutative else (self.lefts, self.rights)
-            else:
-                lefts, rights = set(left.tolist()), set(right.tolist())
-                if commutative:
-                    lefts = rights = lefts | rights
-                lefts, rights = list(lefts), list(rights)
+            lefts = np.zeros(len(self.branches), dtype=bool)
+            rights = np.zeros(len(self.branches), dtype=bool)
+            lefts[left] = rights[right] = True
+            if commutative:
+                lefts = rights = lefts | rights
             dl, dr = self._row(split.left, lefts), self._row(split.right, rights)
             pairs = dl[left] + dr[right]
             if commutative:
@@ -298,21 +285,24 @@ def scores(
     entries comes from one ``similarities`` call, and one table scored
     against many targets shares its branch distances.
 
-    ``rows`` (entry indices) and ``above`` (a score) skip entries: one
-    outside ``rows``, or whose score cannot exceed ``above``, reads
-    -inf, and its formula is not compared. Every other entry holds its
-    exact score. The cut is exact: the logic term is at most 1, the
-    semantic term lies in [0, 1], and IEEE rounding is monotone, so
-    ``alpha * 1.0 + (1 - alpha) * semantic`` is never below
+    ``rows`` (entry indices, every entry by default) and ``above`` (a
+    score) skip entries: one outside ``rows``, or whose score cannot
+    exceed ``above``, reads -inf, and its formula is not compared. Every
+    other entry holds its exact score. The cut is exact: the logic term
+    is at most 1, the semantic term lies in [0, 1], and IEEE rounding is
+    monotone, so ``alpha * 1.0 + (1 - alpha) * semantic`` is never below
     ``alpha * logic + (1 - alpha) * semantic``; an entry whose bound is
     at most ``above`` scores at most ``above`` (the threshold algorithm
-    of Fagin, Lotem and Naor, PODS 2001). At alpha 0 the bound is the
-    score; at alpha 1 it is 1.0 and the provider is not asked. A
-    degenerate target or table raises DegenerateInput before the
-    provider is asked, however few entries are left to compare.
+    of Fagin, Lotem and Naor, PODS 2001). At alpha 0 the formula is not
+    compared, and at alpha 1 the provider is not asked: the term left
+    out reads 0, as in ``tls`` (adding 0.0 leaves a logic term, never
+    -0.0, bit for bit). A degenerate target or table raises
+    DegenerateInput before the provider is asked, however few entries
+    are left to compare.
     """
     question, formula = target
     alpha = cfg.alpha
+    rows = np.arange(len(questions)) if rows is None else np.asarray(rows, dtype=np.intp)
     if alpha > 0.0:
         table.check(formula)
     if alpha < 1.0:
@@ -321,16 +311,13 @@ def scores(
         else:  # the protocol's minimum: one similarity per pair
             semantic = [sem.similarity(question, q) for q in questions]
         # fmax/fmin, like max/min in tls, map a NaN cosine to 0
-        semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64), 0.0))
+        semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64)[rows], 0.0))
+    else:
+        semantic = np.zeros(len(rows))
     if above is not None:
-        rows = np.arange(len(questions)) if rows is None else np.asarray(rows, dtype=np.intp)
-        if alpha == 1.0:
-            rows = rows if 1.0 > above else rows[:0]
-        else:
-            rows = rows[_combine(alpha, 1.0, semantic[rows]) > above]
+        keep = _combine(alpha, 1.0, semantic) > above
+        rows, semantic = rows[keep], semantic[keep]
     logic = table.logic(formula, rows) if alpha > 0.0 else 0.0
-    if rows is None:
-        return logic if alpha == 1.0 else _combine(alpha, logic, semantic)
     out = np.full(len(questions), -np.inf)
-    out[rows] = logic if alpha == 1.0 else _combine(alpha, logic, semantic[rows])
+    out[rows] = _combine(alpha, logic, semantic)
     return out

@@ -547,6 +547,61 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert code == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        ('{"alpha": "0.7"}', "field 'alpha'"),
+        ('{"k": null}', "field 'k'"),
+        ('{"k": 7.0}', "field 'k'"),
+        ('{"alpha": true}', "field 'alpha'"),
+        ("[1, 2]", "line 1"),
+        ('{\n  "alpha": 0.5,\n}', "line 3"),
+    ],
+)
+def test_malformed_config_file_is_a_schema_error(tmp_path, capsys, content, where):
+    bad = tmp_path / "config.json"
+    bad.write_text(content)
+    code = cli.main(["retrieve", "--question", "Q?", "--config", str(bad)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+def test_config_file_float_field_takes_an_int(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"alpha": 1, "timeout": 5, "k": 3, "model": None}))
+    cfg = cli.RunConfig.from_file(str(path))
+    assert (cfg.alpha, cfg.timeout, cfg.k, cfg.model) == (1, 5, 3, None)
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ("[1]", None),
+        ("{", None),
+        ('{"rules": [{"completions": ["x"]}]}', "rules"),
+        ('{"rules": [{"contains": "x"}]}', "rules"),
+        ('{"rules": [{"contains": [1], "completions": ["x"]}]}', "rules"),
+        ('{"rules": {"contains": "x"}}', "rules"),
+        ('{"fingerprints": {"ab": "x"}}', "fingerprints"),
+        ('{"fingerprints": [["ab", ["x"]]]}', "fingerprints"),
+        ('{"default": 5}', "default"),
+        ('{"strict": "no"}', "strict"),
+    ],
+)
+def test_malformed_mock_script_is_a_schema_error(tmp_path, capsys, content, field):
+    dataset = tmp_path / "d.jsonl"
+    _write_dataset(dataset, [("p1", "How many?", 3.0)])
+    script = tmp_path / "mock.json"
+    script.write_text(content)
+    args = ["eval", "--dataset", str(dataset), "--output-dir", str(tmp_path / "run")]
+    code = cli.main(args + ["--backend", "mock", "--mock-script", str(script)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err
+    assert field is None or f"field '{field}'" in err
+
+
 # ---------------------------------------------------------------------------
 # datasets
 # ---------------------------------------------------------------------------

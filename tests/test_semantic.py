@@ -19,7 +19,7 @@ from mathcontrast.semantic import (
     RemoteEmbeddingProvider,
     _CosineProvider,
 )
-from mathcontrast.similarity import SimilarityConfig
+from mathcontrast.similarity import SimilarityConfig, cosine_normed
 
 
 def test_offline_provider_identical_texts_score_one():
@@ -160,6 +160,24 @@ class _FloatProvider(_CosineProvider):
             return np.zeros(self.dim)
         dim = self.dim + 1 if text in self.odd_dim else self.dim
         return np.random.default_rng(zlib.crc32(text.encode())).normal(size=dim) * 1e3
+
+
+def test_identical_texts_score_exactly_one_with_float_embeddings():
+    sem = _FloatProvider()
+    a = "text 34"
+    vec, norm = sem._embed_cached(a)
+    assert cosine_normed(vec, norm, vec, norm) < 1.0  # the rounded self-cosine
+    assert sem.similarity(a, a) == 1.0
+    texts = [a, "text 1", a, "query", a]
+    got = sem.similarities(a, texts).tolist()
+    assert [v for v, t in zip(got, texts) if t == a] == [1.0, 1.0, 1.0]
+    assert all(v < 1.0 for v, t in zip(got, texts) if t != a)
+    # the rule does not hide a zero vector, in either form
+    blank = _FloatProvider(zero={"blank"})
+    with pytest.raises(ZeroVector):
+        blank.similarity("blank", "blank")
+    with pytest.raises(ZeroVector):
+        blank.similarities("blank", ["blank"])
 
 
 def test_float_similarities_agree_with_per_pair_within_tolerance():
