@@ -88,7 +88,8 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         """The config a JSON object holds; SchemaError names a field whose
         value does not match its declared type (a float field takes an
-        int, no field takes a boolean)."""
+        int, no field takes a boolean), or says which value is out of
+        range."""
         obj = datasets.read_json_object(path)
         known = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = set(obj) - set(known)
@@ -99,7 +100,12 @@ class RunConfig:
         for name, value in obj.items():
             if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[known[name]]):
                 raise SchemaError(f"{name} is not of type {known[name]}", 1, name)
-        return cls(**obj)
+        cfg = cls(**obj)
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise SchemaError(str(exc), 1) from exc
+        return cfg
 
     def echo(self) -> None:
         if not self.output_dir:

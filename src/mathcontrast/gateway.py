@@ -80,15 +80,73 @@ _WIRE_NAMES = {
 }
 
 
+# Retries after the first attempt of one POST, and the wait before the
+# first retry; each later retry waits twice as long as the one before.
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
+
+
+def _retry_after(value) -> float | None:
+    """A ``Retry-After`` header in seconds; an HTTP-date, a negative or
+    any other non-number reads as absent."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if seconds >= 0 else None
+
+
+def post_json(session, url: str, payload: dict, api_key: str | None, timeout: float):
+    """The JSON body of a POST of ``payload`` to ``url``.
+
+    Transport failures, 429s and 5xx responses are retried up to
+    ``MAX_RETRIES`` times. Retry i waits ``BACKOFF_S * 2**i`` seconds,
+    or a 429's ``Retry-After`` capped at ``timeout``. The last failure
+    raises TransportError, RateLimited or BackendError. A 401 or 403
+    raises AuthError, another 4xx or a non-JSON body BackendError.
+    """
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    for attempt in range(MAX_RETRIES + 1):
+        delay = BACKOFF_S * 2**attempt
+        try:
+            resp = session.post(url, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            error = TransportError(f"backend unreachable after {attempt + 1} attempts: {exc}")
+            error.__cause__ = exc
+        else:
+            status = resp.status_code
+            if status in (401, 403):
+                raise AuthError(f"backend rejected credentials ({status})")
+            if status == 429:
+                retry_after = _retry_after(resp.headers.get("Retry-After"))
+                error = RateLimited("backend rate limit hit", retry_after=retry_after)
+                if retry_after is not None:
+                    delay = min(retry_after, timeout)
+            elif status >= 400:
+                error = BackendError(f"backend error {status}: {resp.text[:200]}")
+                if status < 500:
+                    raise error
+            else:
+                try:
+                    return resp.json()
+                except ValueError as exc:
+                    raise BackendError(f"backend returned non-JSON body: {exc}") from exc
+        if attempt == MAX_RETRIES:
+            raise error
+        log.warning("%s; retrying in %.1fs", error, delay)
+        time.sleep(delay)
+
+
 class HttpChatBackend:
     """Chat-completion client for an OpenAI-style HTTP endpoint.
 
-    Transient transport failures and 5xx responses are retried with
-    exponential backoff. Multi-sample requests are issued as
-    independent single-sample calls by default (bounded by
-    ``parallelism``); pass ``native_sampling=True`` for backends that
-    accept an ``n`` parameter. A body asked for ``n`` completions that
-    carries another number of choices raises BackendError.
+    Every POST goes through ``post_json``, which retries. A request for
+    n samples is n single-sample POSTs, and each body must carry exactly
+    one choice, else BackendError. The POSTs run on one pool of
+    ``parallelism`` threads per backend, so at most ``parallelism`` are
+    in flight whatever the number of callers.
     """
 
     def __init__(
@@ -97,10 +155,7 @@ class HttpChatBackend:
         model: str,
         api_key: str | None = None,
         timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
         parallelism: int = 4,
-        native_sampling: bool = False,
         unsupported: Sequence[str] = (),
         session: requests.Session | None = None,
     ):
@@ -108,15 +163,11 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.native_sampling = native_sampling
         self.unsupported = frozenset(unsupported)
         self.session = session or requests.Session()
-        self._gate = threading.Semaphore(parallelism)
-        self._parallelism = parallelism
+        self._pool = ThreadPoolExecutor(max_workers=parallelism)
 
-    def build_payload(self, req: ChatRequest, n: int | None = None) -> dict:
+    def build_payload(self, req: ChatRequest) -> dict:
         payload = {
             "model": self.model,
             "messages": [{"role": r, "content": c} for r, c in req.messages],
@@ -124,93 +175,29 @@ class HttpChatBackend:
         for name, wire in _WIRE_NAMES.items():
             if name not in self.unsupported:
                 payload[wire] = getattr(req.params, name)
-        if n is not None and n > 1:
-            payload["n"] = n
         return payload
-
-    def _post_once(self, payload: dict) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        attempt = 0
-        while True:
-            try:
-                resp = self.session.post(
-                    f"{self.endpoint}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise TransportError(
-                        f"backend unreachable after {attempt} attempts: {exc}"
-                    ) from exc
-                delay = self.backoff * 2 ** (attempt - 1)
-                log.warning("transport failure (%s); retrying in %.1fs", exc, delay)
-                time.sleep(delay)
-                continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"backend rejected credentials ({resp.status_code})")
-            if resp.status_code == 429:
-                retry_after = resp.headers.get("Retry-After")
-                raise RateLimited(
-                    "backend rate limit hit",
-                    retry_after=float(retry_after) if retry_after else None,
-                )
-            if resp.status_code >= 500:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise BackendError(
-                        f"backend error {resp.status_code}: {resp.text[:200]}"
-                    )
-                delay = self.backoff * 2 ** (attempt - 1)
-                log.warning("backend %d; retrying in %.1fs", resp.status_code, delay)
-                time.sleep(delay)
-                continue
-            if resp.status_code >= 400:
-                raise BackendError(
-                    f"backend error {resp.status_code}: {resp.text[:200]}"
-                )
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise BackendError(f"backend returned non-JSON body: {exc}") from exc
-
-    def _guarded_post(self, payload: dict) -> dict:
-        with self._gate:
-            return self._post_once(payload)
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         start = time.monotonic()
+        url = f"{self.endpoint}/chat/completions"
+        payload = self.build_payload(req)
+        # once one POST fails, map cancels those not yet started
+        bodies = list(
+            self._pool.map(
+                lambda _: post_json(self.session, url, payload, self.api_key, self.timeout),
+                range(req.sample_count),
+            )
+        )
         usage = {"prompt_tokens": 0, "completion_tokens": 0, "total_tokens": 0}
-
-        def parse(body) -> list[str]:
+        completions = []
+        for body in bodies:
             contents, body_usage = _parse_body(body)
+            if len(contents) != 1:
+                raise BackendError(f"backend returned {len(contents)} choices for one sample")
+            completions.append(contents[0])
             for key in usage:
                 usage[key] += int(body_usage.get(key, 0) or 0)
-            return contents
-
-        if self.native_sampling or req.sample_count == 1:
-            body = self._guarded_post(self.build_payload(req, n=req.sample_count))
-            completions = tuple(parse(body))
-            if len(completions) != req.sample_count:
-                raise BackendError(
-                    f"backend returned {len(completions)} choice(s) for n={req.sample_count}"
-                )
-        else:
-            payload = self.build_payload(req)
-            workers = min(self._parallelism, req.sample_count)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                bodies = list(
-                    pool.map(
-                        lambda _: self._guarded_post(payload),
-                        range(req.sample_count),
-                    )
-                )
-            completions = tuple(parse(body)[0] for body in bodies)
-        return ChatResponse(completions, usage, time.monotonic() - start)
+        return ChatResponse(tuple(completions), usage, time.monotonic() - start)
 
 
 def _parse_body(body) -> tuple[list[str], dict]:
@@ -279,10 +266,6 @@ class MockBackend:
         self.calls: list[ChatRequest] = []
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
-
-    @staticmethod
-    def fingerprint(messages: Sequence[Message]) -> str:
-        return fingerprint(messages)
 
     @classmethod
     def from_file(cls, path) -> "MockBackend":

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .errors import DimensionMismatch, ProviderError, ZeroVector
+from .errors import DimensionMismatch, GatewayError, ProviderError, ZeroVector
+from .gateway import post_json
 from .similarity import cosine_normed
 
 EMBED_DIM = 256
@@ -194,12 +195,14 @@ class HashingNgramProvider(_CosineProvider):
         return out
 
 
-_RESPONSE_ERRORS = (requests.RequestException, KeyError, IndexError, TypeError, ValueError)
+# a failed POST, or a reply without the expected fields and types
+_RESPONSE_ERRORS = (GatewayError, KeyError, IndexError, TypeError, ValueError)
 
 
 class RemoteEmbeddingProvider(_CosineProvider):
     """Embeddings from an HTTP endpoint speaking the common
-    ``POST /embeddings {model, input}`` JSON protocol."""
+    ``POST /embeddings {model, input}`` JSON protocol, through the
+    chat client's retrying ``post_json``."""
 
     def __init__(
         self,
@@ -216,25 +219,8 @@ class RemoteEmbeddingProvider(_CosineProvider):
         self.timeout = timeout
         self.session = session or requests.Session()
 
-    def _post(self, inputs: str | list[str]) -> list:
-        """The ``data`` items of one POST /embeddings of ``inputs``."""
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = self.session.post(
-            f"{self.endpoint}/embeddings",
-            json={"model": self.model, "input": inputs},
-            headers=headers,
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        return resp.json()["data"]
-
     def embed(self, text: str) -> np.ndarray:
-        try:
-            return np.asarray(self._post(text)[0]["embedding"], dtype=np.float64)
-        except _RESPONSE_ERRORS as exc:
-            raise ProviderError(f"embedding request failed: {exc}") from exc
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """One POST per ``EMBED_BATCH`` texts, ``input`` as a list; the
@@ -243,7 +229,14 @@ class RemoteEmbeddingProvider(_CosineProvider):
         try:
             for start in range(0, len(texts), EMBED_BATCH):
                 batch = list(texts[start : start + EMBED_BATCH])
-                data = sorted(self._post(batch), key=lambda item: item["index"])
+                body = post_json(
+                    self.session,
+                    f"{self.endpoint}/embeddings",
+                    {"model": self.model, "input": batch},
+                    self.api_key,
+                    self.timeout,
+                )
+                data = sorted(body["data"], key=lambda item: item["index"])
                 if [item["index"] for item in data] != list(range(len(batch))):
                     raise ProviderError(f"embedding indices do not match {len(batch)} inputs")
                 vecs += [item["embedding"] for item in data]

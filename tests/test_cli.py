@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 import requests
@@ -565,6 +566,33 @@ def test_malformed_config_file_is_a_schema_error(tmp_path, capsys, content, wher
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"alpha": 2.0}, "alpha must be in [0, 1]"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"backend": "other"}, "backend must be"),
+    ],
+)
+def test_out_of_range_config_value_is_a_schema_error(tmp_path, capsys, content, message):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(content))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        cli.RunConfig.from_file(str(bad))
+    code = cli.main(["retrieve", "--question", "Q?", "--config", str(bad)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("")
+    code = cli.main(["retrieve", "--question", "Q?", "--corpus", str(corpus), "--alpha", "2"])
+    assert code == cli.EXIT_USAGE
+    assert "alpha must be in [0, 1]" in capsys.readouterr().err
 
 
 def test_config_file_float_field_takes_an_int(tmp_path):

@@ -1,7 +1,11 @@
 import json
+import threading
+import time
 
 import pytest
+import requests
 
+from mathcontrast import gateway
 from mathcontrast.errors import (
     AuthError,
     BackendError,
@@ -155,8 +159,21 @@ class _FakeSession:
         return outcome
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(gateway, "BACKOFF_S", 0.0)
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """The waits of ``post_json`` between retries, recorded instead of slept."""
+    monkeypatch.setattr(gateway, "BACKOFF_S", 0.5)
+    recorded = []
+    monkeypatch.setattr(gateway.time, "sleep", recorded.append)
+    return recorded
+
+
 def _backend(session, **kwargs):
-    kwargs.setdefault("backoff", 0.0)
     return HttpChatBackend(
         "http://llm.local/v1", "solver-7b", api_key="secret", session=session, **kwargs
     )
@@ -188,8 +205,6 @@ def test_http_unsupported_fields_omitted_not_renamed():
 
 
 def test_http_retries_transport_failures_then_succeeds():
-    import requests
-
     session = _FakeSession(
         [
             requests.ConnectionError("down"),
@@ -197,19 +212,16 @@ def test_http_retries_transport_failures_then_succeeds():
             _FakeResponse(body=_completion_body("ok")),
         ]
     )
-    backend = _backend(session, max_retries=3)
-    got = backend.complete(ChatRequest(MSGS))
+    got = _backend(session).complete(ChatRequest(MSGS))
     assert got.completions == ("ok",)
     assert len(session.posts) == 3
 
 
-def test_http_unreachable_raises_transport_error_after_retries():
-    import requests
-
+def test_http_unreachable_raises_transport_error_after_retries(monkeypatch):
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 2)
     session = _FakeSession([requests.ConnectionError("down")] * 3)
-    backend = _backend(session, max_retries=2)
     with pytest.raises(TransportError):
-        backend.complete(ChatRequest(MSGS))
+        _backend(session).complete(ChatRequest(MSGS))
     assert len(session.posts) == 3
 
 
@@ -219,19 +231,58 @@ def test_http_auth_failure():
         _backend(session).complete(ChatRequest(MSGS))
 
 
-def test_http_rate_limit_carries_retry_after():
-    session = _FakeSession([_FakeResponse(status=429, headers={"Retry-After": "7"})])
+def test_http_rate_limit_carries_retry_after(waits):
+    session = _FakeSession([_FakeResponse(status=429, headers={"Retry-After": "7"})] * 4)
     with pytest.raises(RateLimited) as exc_info:
         _backend(session).complete(ChatRequest(MSGS))
     assert exc_info.value.retry_after == 7.0
+    assert waits == [7.0] * 3
+    assert len(session.posts) == 4
 
 
-def test_http_server_errors_retry_then_fail():
+def test_http_rate_limit_retry_after_is_capped_at_timeout(waits):
+    session = _FakeSession([_FakeResponse(status=429, headers={"Retry-After": "90"})] * 4)
+    with pytest.raises(RateLimited) as exc_info:
+        _backend(session, timeout=5.0).complete(ChatRequest(MSGS))
+    assert exc_info.value.retry_after == 90.0
+    assert waits == [5.0] * 3
+
+
+@pytest.mark.parametrize("retry_after", ["Wed, 21 Oct 2015 07:28:00 GMT", "-1", None])
+def test_http_rate_limit_without_usable_retry_after_backs_off(waits, retry_after):
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    session = _FakeSession([_FakeResponse(status=429, headers=headers)] * 4)
+    with pytest.raises(RateLimited) as exc_info:
+        _backend(session).complete(ChatRequest(MSGS))
+    assert exc_info.value.retry_after is None
+    assert waits == [0.5, 1.0, 2.0]
+
+
+def test_http_rate_limit_then_success(waits):
+    session = _FakeSession(
+        [
+            _FakeResponse(status=429, headers={"Retry-After": "1.5"}),
+            _FakeResponse(body=_completion_body("ok")),
+        ]
+    )
+    assert _backend(session).complete(ChatRequest(MSGS)).completions == ("ok",)
+    assert waits == [1.5]
+
+
+def test_http_server_errors_retry_then_fail(monkeypatch):
+    monkeypatch.setattr(gateway, "MAX_RETRIES", 2)
     session = _FakeSession([_FakeResponse(status=500)] * 3)
-    backend = _backend(session, max_retries=2)
     with pytest.raises(BackendError):
-        backend.complete(ChatRequest(MSGS))
+        _backend(session).complete(ChatRequest(MSGS))
     assert len(session.posts) == 3
+
+
+@pytest.mark.parametrize("status", [400, 404, 422])
+def test_http_client_errors_are_not_retried(status):
+    session = _FakeSession([_FakeResponse(status=status)])
+    with pytest.raises(BackendError, match=str(status)):
+        _backend(session).complete(ChatRequest(MSGS))
+    assert len(session.posts) == 1
 
 
 def test_http_multi_sample_independent_calls():
@@ -244,21 +295,58 @@ def test_http_multi_sample_independent_calls():
     assert got.usage["total_tokens"] == 48
 
 
-def test_http_native_sampling_single_call():
-    session = _FakeSession([_FakeResponse(body=_completion_body("g", n=3))])
-    backend = _backend(session, native_sampling=True)
-    got = backend.complete(ChatRequest(MSGS, sample_count=3))
-    assert len(got.completions) == 3
-    assert len(session.posts) == 1
-    assert session.posts[0]["json"]["n"] == 3
+@pytest.mark.parametrize("choices", [2, 4])
+@pytest.mark.parametrize("samples", [1, 3])
+def test_http_wrong_choice_count_is_backend_error(samples, choices):
+    # every POST asks for one sample, so a body with more choices is malformed
+    session = _FakeSession([_FakeResponse(body=_completion_body("g", n=choices))] * samples)
+    with pytest.raises(BackendError, match=f"{choices} choices"):
+        _backend(session).complete(ChatRequest(MSGS, sample_count=samples))
 
 
-@pytest.mark.parametrize("choices", [1, 4])
-def test_http_native_sampling_wrong_choice_count_is_backend_error(choices):
-    session = _FakeSession([_FakeResponse(body=_completion_body("g", n=choices))])
-    with pytest.raises(BackendError, match=f"{choices} choice"):
-        _backend(session, native_sampling=True).complete(ChatRequest(MSGS, sample_count=3))
-    assert len(session.posts) == 1
+def test_http_parallelism_must_be_positive():
+    with pytest.raises(ValueError):
+        _backend(_FakeSession([]), parallelism=0)
+
+
+class _CountingSession:
+    """Answers every POST after a short wait, counting the POSTs in flight."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            self.in_flight += 1
+            self.posts += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0.02)
+        with self.lock:
+            self.in_flight -= 1
+        return _FakeResponse(body=_completion_body("g"))
+
+
+def test_http_posts_in_flight_are_bounded_by_parallelism():
+    session = _CountingSession()
+    backend = _backend(session, parallelism=2)
+    results = []
+    callers = [
+        threading.Thread(
+            target=lambda: results.append(backend.complete(ChatRequest(MSGS, sample_count=6)))
+        )
+        for _ in range(2)
+    ]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+    assert [len(r.completions) for r in results] == [6, 6]
+    assert session.posts == 12
+    assert session.peak == 2
 
 
 MALFORMED_BODIES = [
@@ -289,21 +377,6 @@ def test_http_malformed_body_is_backend_error(body, samples):
     session = _FakeSession([_malformed_response(body)] * samples)
     with pytest.raises(BackendError):
         _backend(session, parallelism=1).complete(ChatRequest(MSGS, sample_count=samples))
-
-
-@pytest.mark.parametrize("body", MALFORMED_BODIES, ids=repr)
-def test_http_native_sampling_malformed_body_is_backend_error(body):
-    session = _FakeSession([_malformed_response(body)])
-    with pytest.raises(BackendError):
-        _backend(session, native_sampling=True).complete(ChatRequest(MSGS, sample_count=3))
-
-
-def test_http_one_malformed_choice_fails_the_whole_body():
-    body = _completion_body("g", n=3)
-    body["choices"][1] = {"message": {"content": None}}
-    session = _FakeSession([_FakeResponse(body=body)])
-    with pytest.raises(BackendError):
-        _backend(session, native_sampling=True).complete(ChatRequest(MSGS, sample_count=3))
 
 
 @pytest.mark.parametrize("usage", ["absent", None, [], 12], ids=repr)

@@ -5,9 +5,10 @@ import zlib
 
 import numpy as np
 import pytest
+import requests
 
 from _oracles import greedy_dedup
-from mathcontrast import semantic
+from mathcontrast import gateway, semantic
 from mathcontrast.corpus import ReferenceExample, dedup
 from mathcontrast.errors import DimensionMismatch, ProviderError, ZeroVector
 from mathcontrast.formula import align_variables
@@ -258,24 +259,16 @@ class _FakeResponse:
     def __init__(self, payload, status=200):
         self._payload = payload
         self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests_error("boom")
+        self.headers = {}
+        self.text = str(payload)
 
     def json(self):
         return self._payload
 
 
-def requests_error(msg):
-    import requests
-
-    return requests.HTTPError(msg)
-
-
 class _FakeSession:
-    """Answers ``input`` as one text or a list of texts, with the items
-    in reverse order unless ``reply`` rewrites them."""
+    """Answers the list of texts in ``input`` with the items in reverse
+    order unless ``reply`` rewrites them."""
 
     def __init__(self, vectors, reply=lambda data: data[::-1]):
         self.vectors = vectors
@@ -284,7 +277,7 @@ class _FakeSession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.requests.append((url, json, headers))
-        texts = json["input"] if isinstance(json["input"], list) else [json["input"]]
+        texts = json["input"]
         if any(text not in self.vectors for text in texts):
             return _FakeResponse({"error": "unknown"}, status=500)
         data = [{"index": i, "embedding": self.vectors[t]} for i, t in enumerate(texts)]
@@ -299,7 +292,7 @@ def test_remote_provider_posts_and_scores():
     assert sem.similarity("q1", "q2") == pytest.approx(0.0)
     url, payload, headers = session.requests[0]
     assert url == "http://emb.local/v1/embeddings"
-    assert payload == {"model": "embedder", "input": "q1"}
+    assert payload == {"model": "embedder", "input": ["q1"]}
     assert headers["Authorization"] == "Bearer k"
 
 
@@ -311,7 +304,41 @@ def test_remote_provider_caches_embeddings():
     assert len(session.requests) == 2
 
 
-def test_remote_provider_wraps_failures():
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(gateway, "BACKOFF_S", 0.0)
+
+
+class _FlakySession(_FakeSession):
+    """Fails the first POSTs with ``failures``, then answers as _FakeSession."""
+
+    def __init__(self, vectors, failures):
+        super().__init__(vectors)
+        self.failures = list(failures)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if self.failures:
+            self.requests.append((url, json, headers))
+            failure = self.failures.pop(0)
+            if isinstance(failure, Exception):
+                raise failure
+            return failure
+        return super().post(url, json=json, headers=headers, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [requests.ConnectionError("down"), _FakeResponse({"error": "busy"}, status=503)],
+    ids=["connection-error", "503"],
+)
+def test_remote_provider_retries_then_succeeds(no_backoff, failure):
+    session = _FlakySession({"q1": [3.0, 4.0]}, [failure, failure])
+    sem = RemoteEmbeddingProvider("http://emb.local", "m", session=session)
+    assert sem.embed("q1").tolist() == [3.0, 4.0]
+    assert len(session.requests) == 3
+
+
+def test_remote_provider_wraps_failures(no_backoff):
     session = _FakeSession({})
     sem = RemoteEmbeddingProvider("http://emb.local", "m", session=session)
     with pytest.raises(ProviderError):
@@ -348,7 +375,7 @@ def test_remote_embed_many_posts_batches_ordered_by_index():
         lambda data: [dict(item, embedding="x") for item in data],  # not a vector
     ],
 )
-def test_remote_embed_many_rejects_mismatched_replies(reply):
+def test_remote_embed_many_rejects_mismatched_replies(no_backoff, reply):
     sem, _ = _remote({"a": [1.0, 0.0], "b": [0.0, 1.0]}, reply=reply)
     with pytest.raises(ProviderError):
         sem.embed_many(["a", "b"])
