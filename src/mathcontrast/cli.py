@@ -34,6 +34,10 @@ EXIT_BACKEND = 3
 
 # the JSON values a config field of each declared type accepts
 _CONFIG_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
+# the allowed values of each setting that has a fixed choice list
+_CHOICES = dict(
+    backend=("mock", "remote"), sem_provider=("offline", "remote"), strategy=pipeline.STRATEGIES
+)
 
 
 @dataclass
@@ -63,26 +67,15 @@ class RunConfig:
     sem_model: str | None = None
 
     def validate(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.guesses < 1:
-            raise ValueError("guesses must be >= 1")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if not 0.0 <= self.dedup_threshold <= 1.0:
-            raise ValueError("dedup-threshold must be in [0, 1]")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        SimilarityConfig(self.alpha, self.dedup_threshold)  # checks both ranges
+        for name in ("k", "guesses", "attempts", "parallelism"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.sample < 0:
             raise ValueError("sample must be >= 0")
-        if self.backend not in ("mock", "remote"):
-            raise ValueError("backend must be 'mock' or 'remote'")
-        if self.strategy not in pipeline.STRATEGIES:
-            raise ValueError(f"strategy must be one of {pipeline.STRATEGIES}")
-        if self.sem_provider not in ("offline", "remote"):
-            raise ValueError("sem-provider must be 'offline' or 'remote'")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -116,24 +109,24 @@ class RunConfig:
             json.dump(dataclasses.asdict(self), fh, indent=2)
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = (
-        RunConfig.from_file(args.config)
-        if getattr(args, "config", None)
-        else RunConfig()
-    )
+def _merge_config(args: argparse.Namespace, *needs: str) -> RunConfig:
+    """The --config file overridden by the flags; unset ``needs`` are usage errors."""
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
     cfg.validate()
+    for name in needs:
+        if not getattr(cfg, name):
+            raise ValueError(f"{args.command} needs {_flag(name)}")
     return cfg
 
 
 def _make_backend(cfg: RunConfig):
     if cfg.backend == "mock":
         if not cfg.mock_script:
-            raise MathContrastError("mock backend needs --mock-script")
+            raise ValueError("mock backend needs --mock-script")
         return MockBackend.from_file(cfg.mock_script)
     if not cfg.endpoint or not cfg.model:
         raise ValueError("remote backend needs --endpoint and --model")
@@ -178,14 +171,12 @@ def cmd_simdist(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _merge_config(args, "dataset_path")
     out_path = args.out or (
         os.path.join(cfg.output_dir, "screening.jsonl") if cfg.output_dir else None
     )
     if not out_path:
         raise ValueError("preprocess needs --out or --output-dir")
-    if not cfg.dataset_path:
-        raise ValueError("preprocess needs --dataset")
     cfg.echo()
     problems = datasets.load_problems(cfg.dataset_path)
     done = set()
@@ -249,7 +240,7 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    cfg = _merge_config(args)
+    cfg = _merge_config(args, "corpus_path")
     examples = corpus_io.load(cfg.corpus_path)
     if not examples:
         raise MathContrastError(f"corpus {cfg.corpus_path} is empty")
@@ -288,9 +279,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _merge_config(args)
-    if not cfg.dataset_path:
-        raise ValueError("eval needs --dataset")
+    cfg = _merge_config(args, "dataset_path")
     cfg.echo()
     problems = datasets.load_problems(cfg.dataset_path)
     if cfg.sample:
@@ -342,77 +331,86 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, backend: bool = False):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--alpha", type=float, help="logic weight in [0,1] (default 0.7)")
-    p.add_argument("--dedup-threshold", dest="dedup_threshold", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--parallelism", type=int)
-    p.add_argument("--sem-provider", dest="sem_provider", choices=("offline", "remote"))
-    p.add_argument("--sem-endpoint", dest="sem_endpoint")
-    p.add_argument("--sem-model", dest="sem_model")
-    if backend:
-        p.add_argument("--backend", choices=("mock", "remote"))
-        p.add_argument("--endpoint")
-        p.add_argument("--model")
-        p.add_argument("--credential-env", dest="credential_env")
-        p.add_argument("--mock-script", dest="mock_script")
-        p.add_argument("--timeout", type=float)
+_ALL = ("preprocess", "build-corpus", "retrieve", "solve", "eval")
+_BACKEND = ("preprocess", "solve", "eval")
+_SCORING = ("build-corpus", "retrieve", "solve", "eval")
+_RANKING = ("retrieve", "solve", "eval")
+
+# The subcommands whose cmd_* reads each RunConfig setting, and its help; only they take
+# its flag (see _flag). A --config file may still set any setting on any subcommand.
+_SETTINGS = {
+    "credential_env": (_ALL, "environment variable holding the API key"),
+    "timeout": (_ALL, "seconds per HTTP request"),
+    "backend": (_BACKEND, "chat backend"),
+    "endpoint": (_BACKEND, "chat endpoint URL of the remote backend"),
+    "model": (_BACKEND, "model name of the remote backend"),
+    "mock_script": (_BACKEND, "JSON script of the mock backend"),
+    "parallelism": (_BACKEND, "backend requests in flight"),
+    "alpha": (_SCORING, "logic weight in [0, 1]"),
+    "sem_provider": (_SCORING, "question-similarity provider"),
+    "sem_endpoint": (_SCORING, "embedding endpoint URL of the remote provider"),
+    "sem_model": (_SCORING, "embedding model name of the remote provider"),
+    "corpus_path": (_RANKING, "reference corpus (JSONL)"),
+    "k": (_RANKING, "examples retrieved per question"),
+    "guesses": (("solve", "eval"), "completions sampled per question"),
+    "strategy": (("solve", "eval"), "how the prompt is built"),
+    "dataset_path": (("preprocess", "eval"), "problem dataset (JSONL)"),
+    "output_dir": (("preprocess", "eval"), "run directory; config.json is echoed there"),
+    "attempts": (("preprocess",), "screening attempts per problem"),
+    "dedup_threshold": (("build-corpus",), "drop an entry scoring above this against a kept one"),
+    "seed": (("eval",), "seed of --sample"),
+    "sample": (("eval",), "seeded subsample size, 0 for all"),
+}
+
+
+def _flag(name: str) -> str:
+    """The flag of a RunConfig setting: corpus_path -> --corpus."""
+    return "--" + name.removesuffix("_path").replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mathcontrast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simdist", parents=[], help="similarity of two formulas")
+    p = sub.add_parser("simdist", help="similarity of two formulas")
     p.add_argument("expr_a")
     p.add_argument("expr_b")
     p.set_defaults(func=cmd_simdist)
 
     p = sub.add_parser("preprocess", help="screen training problems into a log")
-    p.add_argument("--dataset", dest="dataset_path")
     p.add_argument("--out", help="screening log path")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--attempts", type=int)
-    _add_config_flags(p, backend=True)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("build-corpus", help="screening log -> reference corpus")
     p.add_argument("--screening-log", dest="screening_log", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("retrieve", help="rank corpus examples for a question")
     p.add_argument("--question", required=True)
     p.add_argument("--formula", help="raw solution formula of the target")
-    p.add_argument("--corpus", dest="corpus_path")
-    p.add_argument("--k", type=int)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("solve", help="solve one question end to end")
     p.add_argument("--question", required=True)
-    p.add_argument("--corpus", dest="corpus_path")
-    p.add_argument("--k", type=int)
-    p.add_argument("--guesses", type=int)
-    p.add_argument("--strategy", choices=pipeline.STRATEGIES)
     p.add_argument("--trace-out", dest="trace_out")
-    _add_config_flags(p, backend=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("eval", help="run a dataset and report accuracy")
-    p.add_argument("--dataset", dest="dataset_path")
-    p.add_argument("--corpus", dest="corpus_path")
-    p.add_argument("--k", type=int)
-    p.add_argument("--guesses", type=int)
-    p.add_argument("--strategy", choices=pipeline.STRATEGIES)
-    p.add_argument("--sample", type=int, help="seeded subsample size (0 = all)")
-    p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--annotations", help="error annotation file to tally")
-    _add_config_flags(p, backend=True)
     p.set_defaults(func=cmd_eval)
 
+    for command in _ALL:
+        sub.choices[command].add_argument("--config", help="JSON config file; flags override it")
+    for f in dataclasses.fields(RunConfig):
+        commands, text = _SETTINGS[f.name]
+        if f.default is not None:
+            text += f" (default {f.default})"
+        kind = {"int": int, "float": float}.get(f.type)
+        for command in commands:
+            sub.choices[command].add_argument(
+                _flag(f.name), dest=f.name, type=kind, choices=_CHOICES.get(f.name), help=text
+            )
     return parser
 
 

@@ -311,33 +311,30 @@ def record_from_dict(obj: dict, line: int) -> ScreeningRecord:
     for name in ("problem_id", "question", "gold_answer", "attempts"):
         if name not in obj:
             raise SchemaError("missing field", line, name)
-    try:
-        gold = float(obj["gold_answer"])
-    except (TypeError, ValueError):
-        raise SchemaError("gold_answer is not a number", line, "gold_answer")
+    gold = obj["gold_answer"]
+    if isinstance(gold, bool) or not isinstance(gold, (int, float)) or not math.isfinite(gold):
+        raise SchemaError("gold_answer is not a finite number", line, "gold_answer")
     if not isinstance(obj["attempts"], list):
         raise SchemaError("attempts is not a list", line, "attempts")
     attempts = []
     for att in obj["attempts"]:
         if not isinstance(att, dict):
             raise SchemaError("attempt is not an object", line, "attempts")
-        answer = att.get("answer")
-        try:
-            answer = None if answer is None else float(answer)
-        except (TypeError, ValueError):
+        reasoning, formula = att.get("reasoning", ""), att.get("formula", "")
+        answer, correct = att.get("answer"), att.get("correct", False)
+        if not isinstance(reasoning, str) or not isinstance(formula, str):
+            raise SchemaError("attempt reasoning or formula is not a string", line, "attempts")
+        if isinstance(answer, bool) or not isinstance(answer, (int, float, type(None))):
             raise SchemaError("attempt answer is not a number", line, "attempts")
+        if not isinstance(correct, bool):
+            raise SchemaError("attempt correct is not a boolean", line, "attempts")
         attempts.append(
-            Attempt(
-                reasoning=str(att.get("reasoning", "")),
-                formula=str(att.get("formula", "")),
-                answer=answer,
-                correct=bool(att.get("correct")),
-            )
+            Attempt(reasoning, formula, None if answer is None else float(answer), correct)
         )
     return ScreeningRecord(
         problem_id=str(obj["problem_id"]),
         question=str(obj["question"]),
-        gold_answer=gold,
+        gold_answer=float(gold),
         attempts=tuple(attempts),
         source_dataset=str(obj.get("source_dataset", "")),
     )

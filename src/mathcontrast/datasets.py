@@ -118,25 +118,23 @@ _GSM8K_ANSWER_RE = re.compile(r"####\s*(-?[\d,]+(?:\.\d+)?)")
 def import_gsm8k(in_path, out_path, source: str = "gsm8k") -> int:
     """Convert raw GSM8K jsonl (question + worked 'answer' text ending in
     '#### <number>') to the dataset format; returns the record count."""
-    records = []
+    problems = []
     for line_no, obj in read_jsonl_objects(in_path):
         match = _GSM8K_ANSWER_RE.search(str(obj.get("answer", "")))
         if not match:
             raise SchemaError("no '#### <number>' final answer", line_no, "answer")
         if "question" not in obj:
             raise SchemaError("missing field", line_no, "question")
-        records.append(
-            {
-                "id": str(obj.get("id", f"{source}-{line_no}")),
-                "question": obj["question"],
-                "answer": float(match.group(1).replace(",", "")),
-                "source": source,
-            }
+        problems.append(
+            Problem(
+                id=str(obj.get("id", f"{source}-{line_no}")),
+                question=obj["question"],
+                answer=float(match.group(1).replace(",", "")),
+                source=source,
+            )
         )
-    with open(out_path, "w", encoding="utf-8") as dst:
-        for record in records:
-            dst.write(json.dumps(record, ensure_ascii=False) + "\n")
-    return len(records)
+    save_problems(problems, out_path)
+    return len(problems)
 
 
 def subsample(problems: list[Problem], n: int, seed: int) -> list[Problem]:

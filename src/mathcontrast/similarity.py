@@ -40,8 +40,8 @@ class SimilarityConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.dedup_threshold <= 1.0 + 1e-9:
-            raise ValueError(f"dedup_threshold out of range: {self.dedup_threshold}")
+        if not 0.0 <= self.dedup_threshold <= 1.0:
+            raise ValueError(f"dedup_threshold must be in [0, 1], got {self.dedup_threshold}")
 
 
 class SemanticProvider(Protocol):

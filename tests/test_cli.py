@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 
@@ -269,11 +270,12 @@ def test_build_corpus_empty_log(tmp_path):
     assert load(out) == []
 
 
+_GOOD_ATTEMPT = {"reasoning": "r", "formula": "3+4", "answer": 7.0, "correct": True}
 _GOOD_RECORD = {
     "problem_id": "p1",
     "question": "Mixed?",
     "gold_answer": 7.0,
-    "attempts": [{"reasoning": "r", "formula": "3+4", "answer": 7.0, "correct": True}],
+    "attempts": [_GOOD_ATTEMPT],
 }
 
 
@@ -286,8 +288,21 @@ _GOOD_RECORD = {
         json.dumps(
             {**_GOOD_RECORD, "attempts": [{"formula": "3+4", "answer": "seven", "correct": True}]}
         ),
+        json.dumps({**_GOOD_RECORD, "gold_answer": float("nan")}),
+        json.dumps({**_GOOD_RECORD, "attempts": [{**_GOOD_ATTEMPT, "reasoning": None}]}),
+        json.dumps({**_GOOD_RECORD, "attempts": [{**_GOOD_ATTEMPT, "formula": None}]}),
+        json.dumps({**_GOOD_RECORD, "attempts": [{**_GOOD_ATTEMPT, "correct": "no"}]}),
     ],
-    ids=["attempt-not-object", "attempts-not-list", "record-not-object", "answer-not-number"],
+    ids=[
+        "attempt-not-object",
+        "attempts-not-list",
+        "record-not-object",
+        "answer-not-number",
+        "gold-not-finite",
+        "reasoning-null",
+        "formula-null",
+        "correct-not-boolean",
+    ],
 )
 def test_build_corpus_malformed_log_is_data_error_with_line(tmp_path, capsys, bad_line):
     log = tmp_path / "screening.jsonl"
@@ -574,6 +589,7 @@ def test_malformed_config_file_is_a_schema_error(tmp_path, capsys, content, wher
         ({"alpha": 2.0}, "alpha must be in [0, 1]"),
         ({"k": 0}, "k must be >= 1"),
         ({"backend": "other"}, "backend must be"),
+        ({"dedup_threshold": 1.0 + 1e-10}, "dedup_threshold must be in [0, 1]"),
     ],
 )
 def test_out_of_range_config_value_is_a_schema_error(tmp_path, capsys, content, message):
@@ -670,6 +686,21 @@ def test_gsm8k_import_malformed_line_is_schema_error(tmp_path, bad_line):
     with pytest.raises(SchemaError) as exc_info:
         import_gsm8k(raw, tmp_path / "gsm8k.jsonl")
     assert exc_info.value.line == 2
+    assert not (tmp_path / "gsm8k.jsonl").exists()
+
+
+def test_gsm8k_import_writes_the_dataset_format(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(
+        json.dumps({"question": "Eggs?", "answer": "#### 1,200"}) + "\n"
+        + json.dumps({"id": "x7", "question": "Pens?", "answer": "#### -3.5"}) + "\n"
+    )
+    out = tmp_path / "gsm8k.jsonl"
+    assert import_gsm8k(raw, out, source="train") == 2
+    assert out.read_text() == (
+        '{"id": "train-1", "question": "Eggs?", "answer": 1200.0, "source": "train"}\n'
+        '{"id": "x7", "question": "Pens?", "answer": -3.5, "source": "train"}\n'
+    )
 
 
 def test_subsample_is_deterministic_and_order_preserving():
@@ -680,3 +711,110 @@ def test_subsample_is_deterministic_and_order_preserving():
     ids = [int(p.id) for p in first]
     assert ids == sorted(ids)
     assert subsample(problems, 50, seed=1) == problems
+
+
+# ---------------------------------------------------------------------------
+# the flags each subcommand takes
+# ---------------------------------------------------------------------------
+
+
+_COMMON = {"--config", "--credential-env", "--timeout"}
+_BACKEND = {"--backend", "--endpoint", "--model", "--mock-script", "--parallelism"}
+_SCORING = {"--alpha", "--sem-provider", "--sem-endpoint", "--sem-model"}
+_RANKING = {"--corpus", "--k"}
+_OPTIONS = {
+    "simdist": set(),
+    "preprocess": _COMMON | _BACKEND | {"--dataset", "--output-dir", "--attempts", "--out"},
+    "build-corpus": _COMMON | _SCORING | {"--dedup-threshold", "--screening-log", "--out"},
+    "retrieve": _COMMON | _SCORING | _RANKING | {"--question", "--formula"},
+    "solve": _COMMON | _BACKEND | _SCORING | _RANKING
+    | {"--guesses", "--strategy", "--question", "--trace-out"},
+    "eval": _COMMON | _BACKEND | _SCORING | _RANKING
+    | {"--guesses", "--strategy", "--dataset", "--output-dir", "--seed", "--sample"}
+    | {"--annotations"},
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        command: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for command, p in sub.choices.items()
+    }
+    assert got == _OPTIONS
+    assert sum(len(options) for options in got.values()) == 72
+
+
+_REQUIRED = {
+    "preprocess": [],
+    "build-corpus": ["--screening-log", "log.jsonl", "--out", "corpus.jsonl"],
+    "retrieve": ["--question", "Q?"],
+    "solve": ["--question", "Q?"],
+    "eval": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("preprocess", "--alpha", "0.5"),
+        ("preprocess", "--dedup-threshold", "0.5"),
+        ("preprocess", "--seed", "1"),
+        ("preprocess", "--sem-provider", "offline"),
+        ("preprocess", "--sem-endpoint", "http://emb.local/v1"),
+        ("preprocess", "--sem-model", "embedder"),
+        ("build-corpus", "--seed", "1"),
+        ("build-corpus", "--parallelism", "2"),
+        ("retrieve", "--seed", "1"),
+        ("retrieve", "--parallelism", "2"),
+        ("retrieve", "--dedup-threshold", "0.5"),
+        ("solve", "--dedup-threshold", "0.5"),
+        ("eval", "--dedup-threshold", "0.5"),
+        ("solve", "--seed", "1"),
+    ],
+)
+def test_a_flag_the_subcommand_never_reads_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([command, *_REQUIRED[command], flag, value])
+    assert exc_info.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_build_corpus_and_retrieve_take_credential_env_and_timeout(small_corpus, tmp_path, capsys):
+    extra = ["--credential-env", "NO_SUCH_KEY", "--timeout", "3"]
+    log = tmp_path / "empty.jsonl"
+    log.write_text("")
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["build-corpus", "--screening-log", str(log), "--out", str(out), *extra]) == 0
+    args = ["retrieve", "--question", "How far does the train go?", "--corpus", str(small_corpus)]
+    assert cli.main(args + extra) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 3  # build-corpus line, then 3 examples
+
+
+def test_retrieve_without_corpus_is_a_usage_error(capsys):
+    assert cli.main(["retrieve", "--question", "Q?"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: retrieve needs --corpus\n"
+
+
+def test_mock_backend_without_script_is_a_usage_error(small_corpus, capsys):
+    code = cli.main(["solve", "--question", "Q?", "--corpus", str(small_corpus)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: mock backend needs --mock-script\n"
+
+
+def test_eval_config_replays_as_retrieve_config(eval_run, small_corpus, tmp_path, capsys):
+    dataset, script = eval_run
+    settings = ["--corpus", str(small_corpus), "--k", "2", "--alpha", "0.5"]
+    run = tmp_path / "run"
+    eval_args = ["eval", "--dataset", str(dataset), "--strategy", "contrastive", "--guesses", "3"]
+    eval_args += ["--backend", "mock", "--mock-script", str(script), "--output-dir", str(run)]
+    assert cli.main(eval_args + settings) == 0
+    capsys.readouterr()
+    target = ["retrieve", "--question", "How many chocolates are left?", "--formula", "(3+4)-5"]
+    assert cli.main(target + settings) == 0
+    by_flags = capsys.readouterr().out
+    assert cli.main(target + ["--config", str(run / "config.json")]) == 0
+    assert capsys.readouterr().out == by_flags
+    assert by_flags.count("\n") == 2

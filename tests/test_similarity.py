@@ -525,3 +525,11 @@ def test_config_validates_alpha_range():
         SimilarityConfig(alpha=1.5)
     with pytest.raises(ValueError):
         SimilarityConfig(alpha=-0.1)
+
+
+def test_config_validates_dedup_threshold_range():
+    SimilarityConfig(dedup_threshold=1.0)
+    with pytest.raises(ValueError):
+        SimilarityConfig(dedup_threshold=1.0 + 1e-10)
+    with pytest.raises(ValueError):
+        SimilarityConfig(dedup_threshold=-1e-10)
