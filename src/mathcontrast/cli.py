@@ -177,8 +177,8 @@ def cmd_preprocess(args) -> int:
     )
     if not out_path:
         raise ValueError("preprocess needs --out or --output-dir")
-    cfg.echo()
     problems = datasets.load_problems(cfg.dataset_path)
+    backend = _make_backend(cfg)
     done = set()
     if os.path.exists(out_path):
         torn = datasets.end_last_line(out_path)
@@ -187,7 +187,7 @@ def cmd_preprocess(args) -> int:
         done = {rec.problem_id for rec in corpus_io.load_screening_log(out_path)}
         if done:
             log.info("resuming: %d problems already screened", len(done))
-    backend = _make_backend(cfg)
+    cfg.echo()
     params = DecodingParams()
     written = 0
     for problem in problems:
@@ -280,14 +280,18 @@ def cmd_solve(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _merge_config(args, "dataset_path")
-    cfg.echo()
     problems = datasets.load_problems(cfg.dataset_path)
     if cfg.sample:
         problems = datasets.subsample(problems, cfg.sample, cfg.seed)
     examples = corpus_io.load(cfg.corpus_path) if cfg.corpus_path else []
     if examples and cfg.k > len(examples):
         log.warning("k=%d exceeds corpus size %d; using all", cfg.k, len(examples))
+    annotations = (
+        evaluation.load_annotations(args.annotations) if args.annotations else None
+    )
     backend = _make_backend(cfg)
+    sem = _make_sem(cfg)
+    cfg.echo()
     parallelism = cfg.parallelism
     if isinstance(backend, MockBackend) and backend.stateful:
         # a stateful script consumed from several threads would make the
@@ -300,12 +304,9 @@ def cmd_eval(args) -> int:
         cfg.k,
         cfg.guesses,
         _sim_config(cfg),
-        _make_sem(cfg),
+        sem,
         parallelism=parallelism,
         strategy=cfg.strategy,
-    )
-    annotations = (
-        evaluation.load_annotations(args.annotations) if args.annotations else None
     )
     report = evaluation.evaluate(traces, annotations)
     out_dir = cfg.output_dir or "."

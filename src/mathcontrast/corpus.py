@@ -259,8 +259,10 @@ def example_from_dict(obj: dict, line: int) -> ReferenceExample:
         raise SchemaError("gold_answer is not a finite number", line, "gold_answer")
     formulas = {}
     for name in ("right_formula", "wrong_formula"):
+        if not isinstance(obj[name], str):
+            raise SchemaError("formula is not a string", line, name)
         try:
-            formulas[name] = align_variables(str(obj[name]))
+            formulas[name] = align_variables(obj[name])
         except ParseError as exc:
             raise SchemaError(f"formula does not parse: {exc}", line, name)
     return ReferenceExample(

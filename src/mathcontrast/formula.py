@@ -10,6 +10,11 @@ over text that may carry currency symbols and thousands separators
 (stripped while tokenizing). Alignment replaces every number and
 identifier with the placeholder '@' so only operator structure remains,
 and an aligned formula splits at its most balanced top-level operator.
+
+Alignment builds no tree: one pass over the tokens, alternating between
+expecting an operand and expecting an operator, accepts exactly the
+token strings the parser accepts (precedence shapes the tree, not which
+strings parse) and raises the parser's errors at the parser's positions.
 """
 
 from __future__ import annotations
@@ -262,20 +267,15 @@ def parse_expression(raw: str) -> ExprNode:
     Currency symbols, backslash escapes, and thousands separators are
     stripped while tokenizing, so error positions refer to the raw input.
     """
-    return _parse(raw)[0]
-
-
-def _parse(raw: str) -> tuple[ExprNode, list[tuple[str, str, int]]]:
-    """``parse_expression(raw)`` and the tokens it parsed."""
     tokens = _tokenize(raw)
     if not tokens:
         raise ParseError("empty expression", 0)
     parser = _Parser(tokens, len(raw))
     node = parser.expr()
-    if parser._peek() is not None:
-        tok = parser._peek()
+    tok = parser._peek()
+    if tok is not None:
         raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
-    return node, tokens
+    return node
 
 
 def to_text(node: ExprNode) -> str:
@@ -302,31 +302,69 @@ def to_text(node: ExprNode) -> str:
 # ---------------------------------------------------------------------------
 
 
+_OPERAND_KINDS = {"number", "ident", "at"}
+
+
+def _align_part(part: str) -> tuple[str, int]:
+    """Align one ';'-free part: its text with '@' per operand, and the
+    operand count.
+
+    One pass over the tokens that expects an operand or an operator and
+    counts open parentheses; it raises the ``ParseError`` that
+    ``parse_expression(part)`` raises, at the same position.
+    """
+    tokens = _tokenize(part)
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    out = []
+    count = depth = 0
+    want_operand = True
+    for kind, text, pos in tokens:
+        if want_operand:
+            if kind in _OPERAND_KINDS:
+                out.append("@")
+                count += 1
+                want_operand = False
+            elif kind == "lparen":
+                out.append(text)
+                depth += 1
+            elif text == "-":
+                out.append(text)
+            else:
+                raise ParseError(f"unexpected token {text!r}", pos)
+        elif kind == "op":
+            out.append(text)
+            want_operand = True
+        elif kind == "rparen" and depth:
+            out.append(text)
+            depth -= 1
+        elif depth:
+            raise ParseError("expected ')'", pos)
+        else:
+            raise ParseError(f"unexpected trailing token {text!r}", pos)
+    if want_operand:
+        raise ParseError("expected operand, found end of input", len(part))
+    if depth:
+        raise ParseError("expected ')'", len(part))
+    return "".join(out), count
+
+
 def align_variables(expr: ExprNode | str) -> AlignedFormula:
     """Replace every number and identifier with '@', keeping structure.
 
-    Accepts raw expression text (validated by parsing first, with input
+    Accepts raw expression text (validated as it aligns, with input
     parentheses preserved verbatim) or an already-parsed node. Text with
     ';' separators is aligned piecewise, so merged formulas realign to
     themselves.
     """
-    if isinstance(expr, ExprNode):
-        raw = to_text(expr)
-    else:
-        raw = expr
-    parts = raw.split(";")
-    aligned_parts = []
+    raw = to_text(expr) if isinstance(expr, ExprNode) else expr
+    texts = []
     count = 0
-    for part in parts:
-        out = []
-        for kind, _text, _pos in _parse(part)[1]:
-            if kind in ("number", "ident", "at"):
-                out.append("@")
-                count += 1
-            else:
-                out.append(_text)
-        aligned_parts.append("".join(out))
-    return AlignedFormula(";".join(aligned_parts), count, raw)
+    for part in raw.split(";"):
+        text, n = _align_part(part)
+        texts.append(text)
+        count += n
+    return AlignedFormula(";".join(texts), count, raw)
 
 
 def merge_steps(steps: list[str]) -> AlignedFormula:
@@ -434,17 +472,12 @@ def _scan_expression(line: str, i: int) -> int | None:
 
 
 def _has_operator(segment: str) -> bool:
+    """Whether the segment parses and has a binary operator: a valid
+    expression has one operand more than it has binary operators."""
     try:
-        node = parse_expression(segment)
+        return _align_part(segment)[1] > 1
     except ParseError:
         return False
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.kind == "binary":
-            return True
-        stack.extend(n.children)
-    return False
 
 
 def find_chains(text: str) -> list[Chain]:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's bottom-up DP kernels: the edit
 distance here is the textbook top-down recursion on string suffixes.
-The dedup reference is the greedy scan of per-pair ``tls`` calls.
+The dedup reference is the greedy scan of per-pair ``tls`` calls. The
+alignment references parse each formula into a tree first.
 """
 
 from __future__ import annotations
@@ -53,3 +54,40 @@ def greedy_dedup(examples, cfg, sem):
         if all(score <= cfg.dedup_threshold for score in scores):
             kept.append(ex)
     return kept
+
+
+def align_by_tree(raw: str):
+    """``align_variables(raw)`` by parsing each ';'-part into a tree, then
+    writing '@' for each number, identifier and placeholder token."""
+    from mathcontrast.formula import AlignedFormula, _tokenize, parse_expression
+
+    texts = []
+    count = 0
+    for part in raw.split(";"):
+        parse_expression(part)
+        out = []
+        for kind, text, _pos in _tokenize(part):
+            if kind in ("number", "ident", "at"):
+                out.append("@")
+                count += 1
+            else:
+                out.append(text)
+        texts.append("".join(out))
+    return AlignedFormula(";".join(texts), count, raw)
+
+
+def has_operator_by_tree(segment: str) -> bool:
+    """Whether ``segment`` parses into a tree with a binary node."""
+    from mathcontrast.errors import ParseError
+    from mathcontrast.formula import parse_expression
+
+    try:
+        stack = [parse_expression(segment)]
+    except ParseError:
+        return False
+    while stack:
+        node = stack.pop()
+        if node.kind == "binary":
+            return True
+        stack.extend(node.children)
+    return False

@@ -475,6 +475,34 @@ def test_eval_malformed_annotations_is_data_error_with_line(eval_run, tmp_path, 
     assert "line 2" in capsys.readouterr().err
 
 
+def test_eval_malformed_annotations_fail_before_any_problem_is_solved(
+    eval_run, tmp_path, monkeypatch
+):
+    dataset, script = eval_run
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("{not json}\n")
+
+    def solve_many(*args, **kwargs):
+        raise AssertionError("solve_many ran before the annotations were read")
+
+    monkeypatch.setattr(cli.pipeline, "solve_many", solve_many)
+    run = tmp_path / "run"
+    args = ["eval", "--dataset", str(dataset), "--backend", "mock", "--mock-script", str(script)]
+    args += ["--output-dir", str(run), "--annotations", str(annotations)]
+    assert cli.main(args) == cli.EXIT_DATA
+    assert not (run / "config.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "preprocess"])
+def test_a_usage_error_writes_no_config(eval_run, tmp_path, capsys, command):
+    dataset, _script = eval_run
+    run = tmp_path / "run"
+    code = cli.main([command, "--dataset", str(dataset), "--output-dir", str(run)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: mock backend needs --mock-script\n"
+    assert not (run / "config.json").exists()
+
+
 def test_eval_config_echo_and_roundtrip(eval_run, tmp_path, capsys):
     dataset, script = eval_run
     run1 = tmp_path / "run1"

@@ -458,6 +458,17 @@ def test_load_rejects_unparseable_formula(tmp_path):
     assert exc_info.value.field == "right_formula"
 
 
+@pytest.mark.parametrize("value", [None, 12, True], ids=["null", "number", "boolean"])
+@pytest.mark.parametrize("name", ["right_formula", "wrong_formula"])
+def test_load_rejects_formula_that_is_not_a_string(tmp_path, name, value):
+    good = corpus_mod.example_to_dict(_example(0, "q"))
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, name: value}) + "\n")
+    with pytest.raises(SchemaError) as exc_info:
+        load(path)
+    assert (exc_info.value.line, exc_info.value.field) == (2, name)
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("{not json}\n")

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from _oracles import align_by_tree, has_operator_by_tree
 from mathcontrast.errors import MergeError, ParseError
 from mathcontrast import formula, similarity
 from mathcontrast.formula import (
@@ -65,7 +66,7 @@ def test_parse_errors_carry_positions(bad):
     with pytest.raises(ParseError) as exc_info:
         parse_expression(bad)
     assert exc_info.value.position >= 0
-    # alignment parses the same tokens, so it fails the same way
+    # alignment accepts exactly what the parser accepts, so it fails the same way
     with pytest.raises(ParseError) as aligned:
         align_variables(bad)
     assert str(aligned.value) == str(exc_info.value)
@@ -152,6 +153,56 @@ def test_align_preserves_paren_balance(raw):
     assert _paren_balance(align_variables(raw).text) == _paren_balance(raw)
 
 
+def _edit(text, edits):
+    for kind, i, ch in edits:
+        i %= len(text) + 1
+        if kind == "insert":
+            text = text[:i] + ch + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + ch + text[i + 1 :]
+    return text
+
+
+def _edited_formulas():
+    """Formulas from the grammar, ';'-joined, then up to two
+    single-character edits: mostly valid, with every kind of error."""
+    edit = st.tuples(
+        st.sampled_from(["insert", "delete", "replace"]),
+        st.integers(0, 80),
+        st.sampled_from(list("()+-*/@1x.,$ ;?")),
+    )
+    steps = st.lists(_exprs(), min_size=1, max_size=3).map(";".join)
+    return st.builds(_edit, steps, st.lists(edit, max_size=2))
+
+
+def _aligned_or_error(align, raw):
+    try:
+        return align(raw)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=400)
+@given(_edited_formulas())
+def test_align_matches_the_tree_parser(raw):
+    assert _aligned_or_error(align_variables, raw) == _aligned_or_error(align_by_tree, raw)
+
+
+def test_align_builds_no_tree(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("built a parse tree")
+
+    monkeypatch.setattr(formula, "_Parser", no_tree)
+    aligned = align_variables("$1,200 + x;3*(-4-y);z")
+    assert (aligned.text, aligned.token_count) == ("@+@;@*(-@-@);@", 6)
+    with pytest.raises(ParseError):
+        align_variables("1+2;(3*4")
+    assert formula._has_operator("3 * (4 - y)")
+    assert not formula._has_operator("-(4)")
+
+
 # ---------------------------------------------------------------------------
 # Merging
 # ---------------------------------------------------------------------------
@@ -223,6 +274,13 @@ def test_chain_bare_expression_line():
 
 def test_chain_ignores_lone_numbers_and_prose():
     assert find_chains("In 1945, 100 people left. No math here.") == []
+
+
+@settings(max_examples=400)
+@given(_edited_formulas())
+def test_has_operator_matches_a_tree_walk(raw):
+    for segment in raw.split(";"):
+        assert formula._has_operator(segment) == has_operator_by_tree(segment)
 
 
 def test_chain_three_part_equation():
