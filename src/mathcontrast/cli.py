@@ -32,8 +32,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
-# the JSON values a config field of each declared type accepts
-_CONFIG_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
+# the JSON types a config field of each declared type accepts
+_CONFIG_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "float": (float,)}
 # the allowed values of each setting that has a fixed choice list
 _CHOICES = dict(
     backend=("mock", "remote"), sem_provider=("offline", "remote"), strategy=pipeline.STRATEGIES
@@ -80,20 +80,17 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         """The config a JSON object holds; SchemaError names a field whose
-        value does not match its declared type (a float field takes an
-        int, no field takes a boolean), or says which value is out of
-        range."""
+        value does not match its declared type (checked as
+        ``datasets.check_fields`` checks a record), or says which value is
+        out of range."""
         obj = datasets.read_json_object(path)
-        known = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(obj) - set(known)
+        table = [(f.name, _CONFIG_TYPES[f.type], f.default) for f in dataclasses.fields(cls)]
+        unknown = set(obj) - {name for name, _kinds, _default in table}
         if unknown:
             raise MathContrastError(
                 f"unknown config keys in {path}: {', '.join(sorted(unknown))}"
             )
-        for name, value in obj.items():
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[known[name]]):
-                raise SchemaError(f"{name} is not of type {known[name]}", 1, name)
-        cfg = cls(**obj)
+        cfg = cls(*datasets.check_fields(obj, table, 1))
         try:
             cfg.validate()
         except ValueError as exc:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import read_jsonl_objects
+from .datasets import NUMBER, REQUIRED, TEXT, check_fields, read_jsonl_objects
 from .errors import ParseError, SchemaError
 from .formula import AlignedFormula, align_variables
 from . import similarity
@@ -221,61 +221,46 @@ def dedup(
 # ---------------------------------------------------------------------------
 
 _EXAMPLE_FIELDS = (
-    "id",
-    "question",
-    "right_reasoning",
-    "right_formula",
-    "wrong_reasoning",
-    "wrong_formula",
-    "explanation",
-    "gold_answer",
-    "source_dataset",
+    ("id", TEXT, REQUIRED),
+    ("question", TEXT, REQUIRED),
+    ("right_reasoning", TEXT, REQUIRED),
+    ("right_formula", TEXT, REQUIRED),
+    ("wrong_reasoning", TEXT, REQUIRED),
+    ("wrong_formula", TEXT, REQUIRED),
+    ("explanation", TEXT, REQUIRED),
+    ("gold_answer", NUMBER, REQUIRED),
+    ("source_dataset", TEXT, REQUIRED),
+)
+_RECORD_FIELDS = (
+    ("problem_id", TEXT, REQUIRED),
+    ("question", TEXT, REQUIRED),
+    ("gold_answer", NUMBER, REQUIRED),
+    ("attempts", (list,), REQUIRED),
+    ("source_dataset", TEXT, ""),
+)
+# one attempt of a screening record; SchemaError names its fields "attempts[<i>].<field>"
+_ATTEMPT_FIELDS = (
+    ("reasoning", TEXT, ""),
+    ("formula", TEXT, ""),
+    ("answer", (float, type(None)), None),
+    ("correct", (bool,), False),
 )
 
 
 def example_to_dict(ex: ReferenceExample) -> dict:
-    return {
-        "id": ex.id,
-        "question": ex.question,
-        "right_reasoning": ex.right_reasoning,
-        "right_formula": ex.right_formula.origin,
-        "wrong_reasoning": ex.wrong_reasoning,
-        "wrong_formula": ex.wrong_formula.origin,
-        "explanation": ex.explanation,
-        "gold_answer": ex.gold_answer,
-        "source_dataset": ex.source_dataset,
-    }
+    obj = {name: getattr(ex, name) for name, _kinds, _default in _EXAMPLE_FIELDS}
+    obj["right_formula"], obj["wrong_formula"] = ex.right_formula.origin, ex.wrong_formula.origin
+    return obj
 
 
 def example_from_dict(obj: dict, line: int) -> ReferenceExample:
-    for name in _EXAMPLE_FIELDS:
-        if name not in obj:
-            raise SchemaError("missing field", line, name)
-    try:
-        gold = float(obj["gold_answer"])
-        if not math.isfinite(gold):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise SchemaError("gold_answer is not a finite number", line, "gold_answer")
-    formulas = {}
-    for name in ("right_formula", "wrong_formula"):
-        if not isinstance(obj[name], str):
-            raise SchemaError("formula is not a string", line, name)
+    values = check_fields(obj, _EXAMPLE_FIELDS, line)
+    for i in (3, 5):  # right_formula, wrong_formula
         try:
-            formulas[name] = align_variables(obj[name])
+            values[i] = align_variables(values[i])
         except ParseError as exc:
-            raise SchemaError(f"formula does not parse: {exc}", line, name)
-    return ReferenceExample(
-        id=str(obj["id"]),
-        question=str(obj["question"]),
-        right_reasoning=str(obj["right_reasoning"]),
-        right_formula=formulas["right_formula"],
-        wrong_reasoning=str(obj["wrong_reasoning"]),
-        wrong_formula=formulas["wrong_formula"],
-        explanation=str(obj["explanation"]),
-        gold_answer=gold,
-        source_dataset=str(obj["source_dataset"]),
-    )
+            raise SchemaError(f"formula does not parse: {exc}", line, _EXAMPLE_FIELDS[i][0])
+    return ReferenceExample(*values)
 
 
 def save(examples: list[ReferenceExample], path: str | os.PathLike) -> None:
@@ -298,48 +283,24 @@ def record_to_dict(rec: ScreeningRecord) -> dict:
         "source_dataset": rec.source_dataset,
         "attempt_count": rec.attempt_count,
         "attempts": [
-            {
-                "reasoning": a.reasoning,
-                "formula": a.formula,
-                "answer": a.answer,
-                "correct": a.correct,
-            }
+            {name: getattr(a, name) for name, _kinds, _default in _ATTEMPT_FIELDS}
             for a in rec.attempts
         ],
     }
 
 
 def record_from_dict(obj: dict, line: int) -> ScreeningRecord:
-    for name in ("problem_id", "question", "gold_answer", "attempts"):
-        if name not in obj:
-            raise SchemaError("missing field", line, name)
-    gold = obj["gold_answer"]
-    if isinstance(gold, bool) or not isinstance(gold, (int, float)) or not math.isfinite(gold):
-        raise SchemaError("gold_answer is not a finite number", line, "gold_answer")
-    if not isinstance(obj["attempts"], list):
-        raise SchemaError("attempts is not a list", line, "attempts")
+    values = check_fields(obj, _RECORD_FIELDS, line)
     attempts = []
-    for att in obj["attempts"]:
-        if not isinstance(att, dict):
-            raise SchemaError("attempt is not an object", line, "attempts")
-        reasoning, formula = att.get("reasoning", ""), att.get("formula", "")
-        answer, correct = att.get("answer"), att.get("correct", False)
-        if not isinstance(reasoning, str) or not isinstance(formula, str):
-            raise SchemaError("attempt reasoning or formula is not a string", line, "attempts")
-        if isinstance(answer, bool) or not isinstance(answer, (int, float, type(None))):
-            raise SchemaError("attempt answer is not a number", line, "attempts")
-        if not isinstance(correct, bool):
-            raise SchemaError("attempt correct is not a boolean", line, "attempts")
-        attempts.append(
-            Attempt(reasoning, formula, None if answer is None else float(answer), correct)
-        )
-    return ScreeningRecord(
-        problem_id=str(obj["problem_id"]),
-        question=str(obj["question"]),
-        gold_answer=float(gold),
-        attempts=tuple(attempts),
-        source_dataset=str(obj.get("source_dataset", "")),
-    )
+    for i, att in enumerate(values[3]):
+        if type(att) is not dict:
+            raise SchemaError("attempt is not an object", line, f"attempts[{i}]")
+        try:
+            attempts.append(Attempt(*check_fields(att, _ATTEMPT_FIELDS, line)))
+        except SchemaError as exc:
+            raise SchemaError(exc.message, line, f"attempts[{i}].{exc.field}") from None
+    values[3] = tuple(attempts)
+    return ScreeningRecord(*values)
 
 
 def append_screening_record(rec: ScreeningRecord, path: str | os.PathLike) -> None:

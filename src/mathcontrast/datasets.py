@@ -13,7 +13,7 @@ import os
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import SchemaError
 
@@ -41,6 +41,47 @@ def read_jsonl_objects(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise SchemaError("record is not an object", line_no)
             yield line_no, obj
+
+
+REQUIRED = object()  # the default of a field that must be present
+TEXT = (str,)
+NUMBER = (float,)  # any JSON number: an int is taken as a float
+
+_JSON_NAMES = {
+    str: "a string", int: "an integer", float: "a finite number", bool: "a boolean",
+    list: "a list", type(None): "null",
+}
+
+
+def check_fields(obj: dict, table: Sequence[tuple[str, tuple, object]], line: int) -> list:
+    """The values of ``table``'s fields in ``obj``, in table order.
+
+    A row is ``(field, accepted JSON types, default)``, where the default
+    of a field that must be present is ``REQUIRED``. ``type(value)`` must
+    be an accepted type, so a boolean is never a number; a float field
+    takes an int as a float, and the number must be finite. Otherwise
+    SchemaError names ``line`` and the field.
+    """
+    values = []
+    try:
+        for name, kinds, default in table:
+            value = obj.get(name, default)
+            kind = type(value)
+            if kind not in kinds:
+                if kind is not int or float not in kinds:
+                    break
+                value = float(value)
+            elif kind is float and not math.isfinite(value):
+                break
+            values.append(value)
+        else:
+            return values
+    except OverflowError:  # an int beyond the range of a float
+        pass
+    if name not in obj:
+        raise SchemaError("missing field", line, name)
+    expected = " or ".join(_JSON_NAMES[k] for k in kinds)
+    raise SchemaError(f"{name} is not {expected}", line, name)
 
 
 def read_json_object(path: str | os.PathLike) -> dict:
@@ -80,27 +121,19 @@ def end_last_line(path: str | os.PathLike) -> bytes:
         return b""
 
 
+_PROBLEM_FIELDS = (
+    ("id", TEXT, REQUIRED),
+    ("question", TEXT, REQUIRED),
+    ("answer", NUMBER, REQUIRED),
+    ("source", TEXT, ""),
+)
+
+
 def load_problems(path: str | os.PathLike) -> list[Problem]:
-    problems = []
-    for line_no, obj in read_jsonl_objects(path):
-        for name in ("id", "question", "answer"):
-            if name not in obj:
-                raise SchemaError("missing field", line_no, name)
-        try:
-            answer = float(obj["answer"])
-            if not math.isfinite(answer):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise SchemaError("answer is not a finite number", line_no, "answer")
-        problems.append(
-            Problem(
-                id=str(obj["id"]),
-                question=str(obj["question"]),
-                answer=answer,
-                source=str(obj.get("source", "")),
-            )
-        )
-    return problems
+    return [
+        Problem(*check_fields(obj, _PROBLEM_FIELDS, line_no))
+        for line_no, obj in read_jsonl_objects(path)
+    ]
 
 
 def save_problems(problems: list[Problem], path: str | os.PathLike) -> None:
@@ -113,26 +146,26 @@ def save_problems(problems: list[Problem], path: str | os.PathLike) -> None:
 
 
 _GSM8K_ANSWER_RE = re.compile(r"####\s*(-?[\d,]+(?:\.\d+)?)")
+# a raw GSM8K line; the number after '####' in its answer text is the answer
+_GSM8K_FIELDS = (
+    ("id", TEXT, ""),
+    ("question", TEXT, REQUIRED),
+    ("answer", TEXT, REQUIRED),
+)
 
 
 def import_gsm8k(in_path, out_path, source: str = "gsm8k") -> int:
     """Convert raw GSM8K jsonl (question + worked 'answer' text ending in
-    '#### <number>') to the dataset format; returns the record count."""
+    '#### <number>') to the dataset format; returns the record count. A
+    line without an id, or with an empty one, gets ``<source>-<line number>``."""
     problems = []
     for line_no, obj in read_jsonl_objects(in_path):
-        match = _GSM8K_ANSWER_RE.search(str(obj.get("answer", "")))
-        if not match:
-            raise SchemaError("no '#### <number>' final answer", line_no, "answer")
-        if "question" not in obj:
-            raise SchemaError("missing field", line_no, "question")
-        problems.append(
-            Problem(
-                id=str(obj.get("id", f"{source}-{line_no}")),
-                question=obj["question"],
-                answer=float(match.group(1).replace(",", "")),
-                source=source,
-            )
-        )
+        pid, question, worked = check_fields(obj, _GSM8K_FIELDS, line_no)
+        match = _GSM8K_ANSWER_RE.search(worked)
+        answer = float(match.group(1).replace(",", "")) if match else math.nan
+        if not math.isfinite(answer):
+            raise SchemaError("no finite '#### <number>' final answer", line_no, "answer")
+        problems.append(Problem(pid or f"{source}-{line_no}", question, answer, source))
     save_problems(problems, out_path)
     return len(problems)
 

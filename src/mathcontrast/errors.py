@@ -41,6 +41,7 @@ class SchemaError(MathContrastError):
     def __init__(self, message: str, line: int, field: str | None = None):
         loc = f"line {line}" + (f", field '{field}'" if field else "")
         super().__init__(f"{message} ({loc})")
+        self.message = message
         self.line = line
         self.field = field
 

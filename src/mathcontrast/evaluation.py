@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .datasets import read_jsonl_objects
+from .datasets import REQUIRED, TEXT, check_fields, read_jsonl_objects
 from .errors import MissingGold, SchemaError, UnknownKind
 from .pipeline import SolveTrace
 
@@ -120,19 +120,20 @@ def tally_errors(annotations: list[ErrorAnnotation]) -> ErrorTally:
 # ---------------------------------------------------------------------------
 
 
+_ANNOTATION_FIELDS = (
+    ("problem_id", TEXT, REQUIRED),
+    ("kind", TEXT, REQUIRED),
+    ("note", TEXT, ""),
+    ("annotator", TEXT, ""),
+)
+
+
 def load_annotations(path: str | os.PathLike) -> list[ErrorAnnotation]:
     """Line-delimited JSON with fields problem_id, kind, note, annotator."""
     annotations = []
     for line_no, obj in read_jsonl_objects(path):
         try:
-            annotations.append(
-                ErrorAnnotation(
-                    problem_id=str(obj.get("problem_id", "")),
-                    kind=str(obj.get("kind", "")),
-                    note=str(obj.get("note", "")),
-                    annotator=str(obj.get("annotator", "")),
-                )
-            )
+            annotations.append(ErrorAnnotation(*check_fields(obj, _ANNOTATION_FIELDS, line_no)))
         except UnknownKind as exc:
             raise SchemaError(str(exc), line_no, "kind")
     return annotations

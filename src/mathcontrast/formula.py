@@ -15,6 +15,8 @@ Alignment builds no tree: one pass over the tokens, alternating between
 expecting an operand and expecting an operator, accepts exactly the
 token strings the parser accepts (precedence shapes the tree, not which
 strings parse) and raises the parser's errors at the parser's positions.
+Only the parser, which recurses, stops at MAX_NESTING levels of
+parentheses and unary minus; alignment takes any depth.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ log = logging.getLogger(__name__)
 ALIGNED_ALPHABET_RE = re.compile(r"^[@+\-*/();]+$")
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+# levels of parentheses and unary minus that the parser and the chain scanner follow
+MAX_NESTING = 100
 # '+' and '-' bind last, so they sit at the true top of the tree;
 # preferred over '*' and '/' when split balance ties.
 _LOW_PRECEDENCE = {"+", "-"}
@@ -209,31 +213,33 @@ class _Parser:
         tok = self._peek()
         return tok[2] if tok else self.source_len
 
-    def expr(self) -> ExprNode:
-        node = self.term()
+    def expr(self, depth: int = 0) -> ExprNode:
+        node = self.term(depth)
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "+-":
             self.pos += 1
-            right = self.term()
+            right = self.term(depth)
             node = ExprNode(
                 "binary", tok[1], (node, right), span=(node.span[0], right.span[1])
             )
         return node
 
-    def term(self) -> ExprNode:
-        node = self.factor()
+    def term(self, depth: int) -> ExprNode:
+        node = self.factor(depth)
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "*/":
             self.pos += 1
-            right = self.factor()
+            right = self.factor(depth)
             node = ExprNode(
                 "binary", tok[1], (node, right), span=(node.span[0], right.span[1])
             )
         return node
 
-    def factor(self) -> ExprNode:
+    def factor(self, depth: int) -> ExprNode:
         tok = self._peek()
         if tok is None:
             raise ParseError("expected operand, found end of input", self._err_pos())
         kind, text, pos = tok
+        if depth > MAX_NESTING:
+            raise ParseError(f"nested more than {MAX_NESTING} levels deep", pos)
         if kind == "number":
             self.pos += 1
             return ExprNode("number", text=text, span=(pos, pos + len(text)))
@@ -242,7 +248,7 @@ class _Parser:
             return ExprNode("identifier", text=text, span=(pos, pos + len(text)))
         if kind == "lparen":
             self.pos += 1
-            node = self.expr()
+            node = self.expr(depth + 1)
             closing = self._peek()
             if closing is None or closing[0] != "rparen":
                 raise ParseError("expected ')'", self._err_pos())
@@ -256,7 +262,7 @@ class _Parser:
             )
         if kind == "op" and text == "-":
             self.pos += 1
-            child = self.factor()
+            child = self.factor(depth + 1)
             return ExprNode("neg", children=(child,), span=(pos, child.span[1]))
         raise ParseError(f"unexpected token {text!r}", pos)
 
@@ -310,8 +316,8 @@ def _align_part(part: str) -> tuple[str, int]:
     operand count.
 
     One pass over the tokens that expects an operand or an operator and
-    counts open parentheses; it raises the ``ParseError`` that
-    ``parse_expression(part)`` raises, at the same position.
+    counts open parentheses; below MAX_NESTING it raises the
+    ``ParseError`` that ``parse_expression(part)`` raises, at its position.
     """
     tokens = _tokenize(part)
     if not tokens:
@@ -418,13 +424,13 @@ class Chain:
 _CHAIN_MAX_IDENT = 2
 
 
-def _scan_operand(line: str, i: int) -> int | None:
+def _scan_operand(line: str, i: int, depth: int) -> int | None:
     """Consume one operand (number, short ident, '@', parenthesized group,
     or a negation of one) starting at i; returns the end index or None."""
-    if i < len(line) and line[i] == "-":
-        j = _skip_pad(line, i + 1)
-        return _scan_operand(line, j)
-    tok = _read_token(line, i) if i < len(line) else None
+    while i < len(line) and line[i] == "-":
+        i = _skip_pad(line, i + 1)
+        depth += 1
+    tok = _read_token(line, i) if i < len(line) and depth <= MAX_NESTING else None
     if tok is None:
         return None
     kind, text, j = tok
@@ -432,20 +438,12 @@ def _scan_operand(line: str, i: int) -> int | None:
         return j
     if kind == "ident":
         return j if len(text) <= _CHAIN_MAX_IDENT else None
-    if kind == "lparen":
-        return _scan_group(line, i)
-    return None
-
-
-def _scan_group(line: str, i: int) -> int | None:
-    """Consume a balanced '(...)' whose body is a chain-style expression."""
-    j = _skip_pad(line, i + 1)
-    j = _scan_expression(line, j)
-    if j is None:
-        return None
-    j = _skip_pad(line, j)
-    if j < len(line) and line[j] == ")":
-        return j + 1
+    if kind == "lparen":  # a balanced '(...)' around a chain-style expression
+        j = _scan_expression(line, _skip_pad(line, i + 1), depth + 1)
+        if j is not None:
+            j = _skip_pad(line, j)
+            if j < len(line) and line[j] == ")":
+                return j + 1
     return None
 
 
@@ -455,9 +453,9 @@ def _skip_pad(line: str, i: int) -> int:
     return i
 
 
-def _scan_expression(line: str, i: int) -> int | None:
+def _scan_expression(line: str, i: int, depth: int = 0) -> int | None:
     """Consume operand (op operand)* greedily; returns end index or None."""
-    end = _scan_operand(line, i)
+    end = _scan_operand(line, i, depth)
     if end is None:
         return None
     while True:
@@ -465,7 +463,7 @@ def _scan_expression(line: str, i: int) -> int | None:
         if j >= len(line) or line[j] not in "+-*/":
             return end
         k = _skip_pad(line, j + 1)
-        nxt = _scan_operand(line, k)
+        nxt = _scan_operand(line, k, depth)
         if nxt is None:
             return end
         end = nxt
@@ -487,7 +485,7 @@ def find_chains(text: str) -> list[Chain]:
     starts at a digit or '('. The step expression is the first
     '='-segment containing an operator, and the stated result is the
     final segment when it is a bare number. Pure-number spans are not
-    steps and are skipped.
+    steps and are skipped, and so is any span nested past MAX_NESTING.
     """
     chains = []
     for line in text.splitlines():

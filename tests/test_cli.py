@@ -1,11 +1,21 @@
 import argparse
+import dataclasses
 import json
 import re
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mathcontrast import cli
+from _schema import (
+    accepted,
+    field_names,
+    not_finite,
+    required,
+    second_line_error,
+    wrong_typed,
+)
+from mathcontrast import cli, corpus as corpus_mod, datasets, evaluation
 from mathcontrast.corpus import (
     Attempt,
     ScreeningRecord,
@@ -739,6 +749,174 @@ def test_subsample_is_deterministic_and_order_preserving():
     ids = [int(p.id) for p in first]
     assert ids == sorted(ids)
     assert subsample(problems, 50, seed=1) == problems
+
+
+_GOOD_PROBLEM = {"id": "p1", "question": "How many?", "answer": 3.0, "source": "unit"}
+_GOOD_GSM8K = {"id": "g1", "question": "q?", "answer": "#### 3"}
+
+
+def test_problem_table_lists_the_fields_of_problem_in_order():
+    assert field_names(datasets._PROBLEM_FIELDS) == [f.name for f in dataclasses.fields(Problem)]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    wrong_typed(datasets._PROBLEM_FIELDS) + not_finite(datasets._PROBLEM_FIELDS),
+)
+def test_load_problems_rejects_each_wrong_typed_field(tmp_path, name, value):
+    bad = {**_GOOD_PROBLEM, name: value}
+    exc = second_line_error(load_problems, tmp_path / "d.jsonl", _GOOD_PROBLEM, bad)
+    assert exc.field == name
+
+
+@pytest.mark.parametrize("name", required(datasets._PROBLEM_FIELDS))
+def test_load_problems_rejects_each_missing_field(tmp_path, name):
+    bad = {k: v for k, v in _GOOD_PROBLEM.items() if k != name}
+    exc = second_line_error(load_problems, tmp_path / "d.jsonl", _GOOD_PROBLEM, bad)
+    assert (exc.field, exc.message) == (name, "missing field")
+
+
+def _import(path):
+    return import_gsm8k(path, path.with_name("out.jsonl"))
+
+
+@pytest.mark.parametrize("name, value", wrong_typed(datasets._GSM8K_FIELDS))
+def test_gsm8k_import_rejects_each_wrong_typed_field(tmp_path, name, value):
+    bad = {**_GOOD_GSM8K, name: value}
+    assert second_line_error(_import, tmp_path / "raw.jsonl", _GOOD_GSM8K, bad).field == name
+
+
+@pytest.mark.parametrize("name", required(datasets._GSM8K_FIELDS))
+def test_gsm8k_import_rejects_each_missing_field(tmp_path, name):
+    bad = {k: v for k, v in _GOOD_GSM8K.items() if k != name}
+    assert second_line_error(_import, tmp_path / "raw.jsonl", _GOOD_GSM8K, bad).field == name
+
+
+@pytest.mark.parametrize("answer", ["#### three", "42", "#### " + "9" * 400])
+def test_gsm8k_import_rejects_an_answer_without_a_finite_final_number(tmp_path, answer):
+    bad = {**_GOOD_GSM8K, "answer": answer}
+    assert second_line_error(_import, tmp_path / "raw.jsonl", _GOOD_GSM8K, bad).field == "answer"
+
+
+# the table RunConfig.from_file checks a config file against
+_CONFIG_FIELDS = [
+    (f.name, cli._CONFIG_TYPES[f.type], f.default) for f in dataclasses.fields(cli.RunConfig)
+]
+
+
+@pytest.mark.parametrize("name, value", wrong_typed(_CONFIG_FIELDS))
+def test_config_file_rejects_each_wrong_typed_field(tmp_path, name, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({name: value}))
+    with pytest.raises(SchemaError) as exc_info:
+        cli.RunConfig.from_file(str(path))
+    assert (exc_info.value.line, exc_info.value.field) == (1, name)
+
+
+_TABLES = {
+    "problem": datasets._PROBLEM_FIELDS,
+    "gsm8k": datasets._GSM8K_FIELDS,
+    "corpus": corpus_mod._EXAMPLE_FIELDS,
+    "screening-record": corpus_mod._RECORD_FIELDS,
+    "attempt": corpus_mod._ATTEMPT_FIELDS,
+    "annotation": evaluation._ANNOTATION_FIELDS,
+    "config": _CONFIG_FIELDS,
+}
+
+
+@pytest.mark.parametrize(
+    "table, name, value",
+    [
+        pytest.param(table, *case.values, id=f"{fmt}-{case.id}")
+        for fmt, table in _TABLES.items()
+        for case in accepted(table)
+    ],
+)
+def test_check_fields_returns_an_accepted_value_and_an_int_in_a_float_field_as_a_float(
+    table, name, value
+):
+    (row,) = [row for row in table if row[0] == name]
+    (got,) = datasets.check_fields({name: value}, [row], 1)
+    as_float = type(value) is int and float in row[1]
+    assert got == value and type(got) is (float if as_float else type(value))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(
+        st.builds(
+            Problem,
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+        ),
+        max_size=4,
+    )
+)
+def test_saved_problems_load_equal(tmp_path, problems):
+    path = tmp_path / "d.jsonl"
+    save_problems(problems, path)
+    assert load_problems(path) == problems
+
+
+# ---------------------------------------------------------------------------
+# fields that loaded only through coercion, through the subcommand that reads each file
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+_GOOD_CORPUS_ENTRY = {
+    "id": "a",
+    "question": "q",
+    "right_reasoning": "r",
+    "right_formula": "1+1",
+    "wrong_reasoning": "w",
+    "wrong_formula": "2+2",
+    "explanation": "",
+    "gold_answer": 1.0,
+    "source_dataset": "",
+}
+_GOOD_ANNOTATION = {"problem_id": "t1", "kind": "logic", "note": "", "annotator": ""}
+
+
+def _reading_command(kind, path, tmp_path) -> list[str]:
+    dataset = tmp_path / "d.jsonl"
+    _write_dataset(dataset, [("t1", "How many?", 3.0)])
+    return {
+        "corpus": ["retrieve", "--question", "Q?", "--corpus", str(path)],
+        "dataset": ["eval", "--dataset", str(path)],
+        "screening": ["build-corpus", "--screening-log", str(path), "--out", str(tmp_path / "c")],
+        "annotations": ["eval", "--dataset", str(dataset), "--annotations", str(path)],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, good, name, value",
+    [
+        ("corpus", _GOOD_CORPUS_ENTRY, "id", 7),
+        ("corpus", _GOOD_CORPUS_ENTRY, "question", None),
+        ("corpus", _GOOD_CORPUS_ENTRY, "wrong_reasoning", ["w"]),
+        ("corpus", _GOOD_CORPUS_ENTRY, "explanation", None),
+        ("corpus", _GOOD_CORPUS_ENTRY, "gold_answer", "1.5"),
+        ("corpus", _GOOD_CORPUS_ENTRY, "source_dataset", {}),
+        ("dataset", _GOOD_PROBLEM, "id", None),
+        ("dataset", _GOOD_PROBLEM, "question", None),
+        ("dataset", _GOOD_PROBLEM, "answer", "3"),
+        ("screening", _GOOD_RECORD, "problem_id", 5),
+        ("screening", _GOOD_RECORD, "question", None),
+        ("annotations", _GOOD_ANNOTATION, "note", 3),
+        ("annotations", _GOOD_ANNOTATION, "problem_id", _MISSING),
+    ],
+)
+def test_a_malformed_field_is_a_data_error_naming_line_and_field(
+    tmp_path, capsys, kind, good, name, value
+):
+    bad = {k: v for k, v in {**good, name: value}.items() if v is not _MISSING}
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    assert cli.main(_reading_command(kind, path, tmp_path)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(line 2, field '{name}')" in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from _oracles import greedy_dedup
+from _schema import field_names, not_finite, required, second_line_error, wrong_typed
 from mathcontrast import _kernels, corpus as corpus_mod, similarity
 from mathcontrast.corpus import (
     Attempt,
@@ -496,6 +497,136 @@ def test_persisted_examples_satisfy_admission_rule(tmp_path):
     for ex in load(path):
         outcomes = {a.correct for a in by_id[ex.id].attempts}
         assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Field tables: every field, every wrong JSON type
+# ---------------------------------------------------------------------------
+
+_GOOD_EXAMPLE = corpus_mod.example_to_dict(_example(0, "q"))
+_GOOD_ATTEMPT = {"reasoning": "r", "formula": "3+4", "answer": 7.0, "correct": True}
+_GOOD_RECORD = corpus_mod.record_to_dict(_record([True, False]))
+
+
+@pytest.mark.parametrize(
+    "table, cls",
+    [
+        (corpus_mod._EXAMPLE_FIELDS, ReferenceExample),
+        (corpus_mod._RECORD_FIELDS, ScreeningRecord),
+        (corpus_mod._ATTEMPT_FIELDS, Attempt),
+    ],
+    ids=["corpus", "screening-record", "attempt"],
+)
+def test_each_table_lists_the_fields_of_its_class_in_order(table, cls):
+    assert field_names(table) == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    wrong_typed(corpus_mod._EXAMPLE_FIELDS) + not_finite(corpus_mod._EXAMPLE_FIELDS),
+)
+def test_load_rejects_each_wrong_typed_field(tmp_path, name, value):
+    bad = {**_GOOD_EXAMPLE, name: value}
+    exc = second_line_error(load, tmp_path / "corpus.jsonl", _GOOD_EXAMPLE, bad)
+    assert exc.field == name
+
+
+@pytest.mark.parametrize("name", required(corpus_mod._EXAMPLE_FIELDS))
+def test_load_rejects_each_missing_field(tmp_path, name):
+    bad = {k: v for k, v in _GOOD_EXAMPLE.items() if k != name}
+    exc = second_line_error(load, tmp_path / "corpus.jsonl", _GOOD_EXAMPLE, bad)
+    assert (exc.field, exc.message) == (name, "missing field")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    wrong_typed(corpus_mod._RECORD_FIELDS) + not_finite(corpus_mod._RECORD_FIELDS),
+)
+def test_screening_log_rejects_each_wrong_typed_field(tmp_path, name, value):
+    bad = {**_GOOD_RECORD, name: value}
+    exc = second_line_error(load_screening_log, tmp_path / "log.jsonl", _GOOD_RECORD, bad)
+    assert exc.field == name
+
+
+@pytest.mark.parametrize("name", required(corpus_mod._RECORD_FIELDS))
+def test_screening_log_rejects_each_missing_field(tmp_path, name):
+    bad = {k: v for k, v in _GOOD_RECORD.items() if k != name}
+    exc = second_line_error(load_screening_log, tmp_path / "log.jsonl", _GOOD_RECORD, bad)
+    assert (exc.field, exc.message) == (name, "missing field")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    wrong_typed(corpus_mod._ATTEMPT_FIELDS) + not_finite(corpus_mod._ATTEMPT_FIELDS),
+)
+def test_screening_log_rejects_each_wrong_typed_attempt_field(tmp_path, name, value):
+    bad = {**_GOOD_RECORD, "attempts": [_GOOD_ATTEMPT, {**_GOOD_ATTEMPT, name: value}]}
+    exc = second_line_error(load_screening_log, tmp_path / "log.jsonl", _GOOD_RECORD, bad)
+    assert exc.field == f"attempts[1].{name}"
+
+
+def test_screening_log_names_an_attempt_that_is_not_an_object(tmp_path):
+    bad = {**_GOOD_RECORD, "attempts": [_GOOD_ATTEMPT, "r"]}
+    exc = second_line_error(load_screening_log, tmp_path / "log.jsonl", _GOOD_RECORD, bad)
+    assert exc.field == "attempts[1]"
+
+
+def test_attempt_fields_take_their_defaults(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps({**_GOOD_RECORD, "attempts": [{}]}) + "\n")
+    assert load_screening_log(path)[0].attempts == (Attempt("", "", None, False),)
+
+
+# ---------------------------------------------------------------------------
+# Round trips: a file the writers write loads equal objects
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FORMULAS = st.sampled_from(
+    ["32+42", "(51.0-8.0)*130.0", "32+42;74-35", "x*(y-3)", "-5", "$1,200 / 4"]
+)
+_EXAMPLES = st.builds(
+    ReferenceExample,
+    id=_TEXT,
+    question=_TEXT,
+    right_reasoning=_TEXT,
+    right_formula=_FORMULAS.map(align_variables),
+    wrong_reasoning=_TEXT,
+    wrong_formula=_FORMULAS.map(align_variables),
+    explanation=_TEXT,
+    gold_answer=_FINITE,
+    source_dataset=_TEXT,
+)
+_RECORDS = st.builds(
+    ScreeningRecord,
+    problem_id=_TEXT,
+    question=_TEXT,
+    gold_answer=_FINITE,
+    attempts=st.lists(
+        st.builds(Attempt, _TEXT, _TEXT, st.none() | _FINITE, st.booleans()), max_size=4
+    ).map(tuple),
+    source_dataset=_TEXT,
+)
+_TMP_PATH = settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_TMP_PATH
+@given(st.lists(_EXAMPLES, max_size=4))
+def test_saved_corpus_loads_equal_examples(tmp_path, examples):
+    path = tmp_path / "corpus.jsonl"
+    save(examples, path)
+    assert load(path) == examples
+
+
+@_TMP_PATH
+@given(st.lists(_RECORDS, max_size=4))
+def test_appended_screening_log_loads_equal_records(tmp_path, records):
+    path = tmp_path / "log.jsonl"
+    path.write_text("")
+    for rec in records:
+        append_screening_record(rec, path)
+    assert load_screening_log(path) == records
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=8))

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from _schema import field_names, required, second_line_error, wrong_typed
+from mathcontrast import evaluation
 from mathcontrast.errors import MissingGold, UnknownKind
 from mathcontrast.evaluation import (
     ERROR_KINDS,
@@ -187,6 +191,47 @@ def test_annotation_file_roundtrip(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     anns = load_annotations(path)
     assert [a.kind for a in anns] == ["logic", "calculation"]
+
+
+_GOOD_ANNOTATION = {"problem_id": "p1", "kind": "logic", "note": "n", "annotator": "a"}
+
+
+def test_annotation_table_lists_the_fields_of_error_annotation_in_order():
+    assert field_names(evaluation._ANNOTATION_FIELDS) == [
+        f.name for f in dataclasses.fields(ErrorAnnotation)
+    ]
+
+
+@pytest.mark.parametrize("name, value", wrong_typed(evaluation._ANNOTATION_FIELDS))
+def test_annotations_reject_each_wrong_typed_field(tmp_path, name, value):
+    bad = {**_GOOD_ANNOTATION, name: value}
+    exc = second_line_error(load_annotations, tmp_path / "a.jsonl", _GOOD_ANNOTATION, bad)
+    assert exc.field == name
+
+
+@pytest.mark.parametrize("name", required(evaluation._ANNOTATION_FIELDS))
+def test_annotations_reject_each_missing_field(tmp_path, name):
+    bad = {k: v for k, v in _GOOD_ANNOTATION.items() if k != name}
+    exc = second_line_error(load_annotations, tmp_path / "a.jsonl", _GOOD_ANNOTATION, bad)
+    assert (exc.field, exc.message) == (name, "missing field")
+
+
+def test_annotation_note_and_annotator_default_to_empty(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text(json.dumps({"problem_id": "p1", "kind": "logic"}) + "\n")
+    assert load_annotations(path) == [ErrorAnnotation("p1", "logic")]
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.builds(ErrorAnnotation, _TEXT, st.sampled_from(ERROR_KINDS), _TEXT, _TEXT)))
+def test_annotation_file_loads_equal_annotations(tmp_path, annotations):
+    path = tmp_path / "annotations.jsonl"
+    rows = [json.dumps(dataclasses.asdict(a), ensure_ascii=False) + "\n" for a in annotations]
+    path.write_text("".join(rows), encoding="utf-8")
+    assert load_annotations(path) == annotations
 
 
 def test_save_report_writes_traces_and_summary(tmp_path):

@@ -73,6 +73,18 @@ def test_parse_errors_carry_positions(bad):
     assert aligned.value.position == exc_info.value.position
 
 
+def test_parse_stops_at_the_nesting_limit_with_a_parse_error():
+    deep = formula.MAX_NESTING
+    assert parse_expression("(" * deep + "5" + ")" * deep).value() == 5.0
+    assert parse_expression("-" * deep + "5").kind == "neg"
+    for raw in ("-" * 3000 + "5", "(" * 3000 + "5" + ")" * 3000, "-(" * deep + "5" + ")" * deep):
+        with pytest.raises(ParseError) as exc_info:
+            parse_expression(raw)
+        assert "nested" in str(exc_info.value)
+    # alignment does not recurse, so it takes any depth
+    assert align_variables("(" * 3000 + "5" + ")" * 3000).text == "(" * 3000 + "@" + ")" * 3000
+
+
 def test_align_reports_the_parse_error_of_the_failing_part():
     with pytest.raises(ParseError) as exc_info:
         align_variables("1+2;(3*4")
@@ -281,6 +293,23 @@ def test_chain_ignores_lone_numbers_and_prose():
 def test_has_operator_matches_a_tree_walk(raw):
     for segment in raw.split(";"):
         assert formula._has_operator(segment) == has_operator_by_tree(segment)
+
+
+def test_chains_in_deeply_nested_text_are_found_without_recursion_errors(monkeypatch):
+    calls = []
+    scan = formula._scan_operand
+    monkeypatch.setattr(
+        formula, "_scan_operand", lambda *args: calls.append(1) or scan(*args)
+    )
+    text = "(" * 2000 + "1+2" + ")" * 2000
+    chains = find_chains(text)
+    # a span is scanned at most MAX_NESTING levels deep from each start
+    assert len(calls) <= 2 * len(text) * (formula.MAX_NESTING + 2)
+    assert all(chain.expression.strip("()") == "1+2" for chain in chains)
+    assert find_chains("x = " + "-" * 3000 + "5 = 5 and 1 + " + "-" * 3000 + "5") == []
+    assert find_chains("so " + "(" * 50 + "3*4" + ")" * 50 + " = 12") == [
+        Chain("(" * 50 + "3*4" + ")" * 50, 12.0)
+    ]
 
 
 def test_chain_three_part_equation():
