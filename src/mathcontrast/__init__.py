@@ -19,7 +19,7 @@ from .corpus import (
 )
 from .errors import MathContrastError
 from .evaluation import ErrorAnnotation, EvalReport, evaluate, tally_errors
-from .formula import AlignedFormula, ExprNode, align_variables, merge_steps, parse_expression
+from .formula import AlignedFormula, align_variables, merge_steps
 from .gateway import ChatRequest, ChatResponse, DecodingParams, HttpChatBackend, MockBackend
 from .pipeline import (
     PreprocessOutput,
@@ -54,7 +54,6 @@ __all__ = [
     "DecodingParams",
     "ErrorAnnotation",
     "EvalReport",
-    "ExprNode",
     "HashingNgramProvider",
     "HttpChatBackend",
     "MathContrastError",
@@ -78,7 +77,6 @@ __all__ = [
     "logic_similarity",
     "merge_steps",
     "norm_distance",
-    "parse_expression",
     "preprocess",
     "retrieve",
     "save",

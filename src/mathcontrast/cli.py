@@ -322,7 +322,7 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
+class _UsageExitParser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit 2; usage errors are 1
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -367,7 +367,7 @@ def _flag(name: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mathcontrast", description=__doc__)
+    parser = _UsageExitParser(prog="mathcontrast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simdist", help="similarity of two formulas")

@@ -49,7 +49,7 @@ NUMBER = (float,)  # any JSON number: an int is taken as a float
 
 _JSON_NAMES = {
     str: "a string", int: "an integer", float: "a finite number", bool: "a boolean",
-    list: "a list", type(None): "null",
+    list: "a list", dict: "an object", type(None): "null",
 }
 
 

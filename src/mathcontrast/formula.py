@@ -1,66 +1,36 @@
-"""Arithmetic formula parsing, placeholder alignment, and step merging.
+"""Formula alignment, balanced splitting and step merging.
 
-The parser implements
+One grammar covers formula text:
 
-    Expr   := Term (('+' | '-') Term)*
-    Term   := Factor (('*' | '/') Factor)*
-    Factor := Number | Identifier | '(' Expr ')' | '-' Factor
+    Expr    := Operand (('+' | '-' | '*' | '/') Operand)*
+    Operand := Number | Identifier | '@' | '(' Expr ')' | '-' Operand
 
 over text that may carry currency symbols and thousands separators
-(stripped while tokenizing). Alignment replaces every number and
-identifier with the placeholder '@' so only operator structure remains,
-and an aligned formula splits at its most balanced top-level operator.
-
-Alignment builds no tree: one pass over the tokens, alternating between
-expecting an operand and expecting an operator, accepts exactly the
-token strings the parser accepts (precedence shapes the tree, not which
-strings parse) and raises the parser's errors at the parser's positions.
-Only the parser, which recurses, stops at MAX_NESTING levels of
-parentheses and unary minus; alignment takes any depth.
+(stripped while tokenizing). Precedence does not change which strings
+are formulas, so one pass over the tokens, alternating between
+expecting an operand and expecting an operator and counting open
+parentheses, checks a formula at any depth without building a tree.
+Alignment replaces every number and identifier with the placeholder '@'
+in that pass, so only operator structure remains, and an aligned
+formula splits at its most balanced top-level operator. The chain
+scanner, which finds formulas in prose, stops at MAX_NESTING levels of
+parentheses and unary minus.
 """
 
 from __future__ import annotations
 
 import logging
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateInput, MergeError, ParseError
 
 log = logging.getLogger(__name__)
 
-ALIGNED_ALPHABET_RE = re.compile(r"^[@+\-*/();]+$")
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-# levels of parentheses and unary minus that the parser and the chain scanner follow
+# levels of parentheses and unary minus that the chain scanner follows
 MAX_NESTING = 100
 # '+' and '-' bind last, so they sit at the true top of the tree;
 # preferred over '*' and '/' when split balance ties.
 _LOW_PRECEDENCE = {"+", "-"}
-
-
-@dataclass(frozen=True)
-class ExprNode:
-    """One node of a parsed arithmetic expression.
-
-    ``kind`` is one of ``number``, ``identifier``, ``binary``, ``neg``.
-    Binary nodes carry exactly two children and an ``op`` in ``+-*/``;
-    ``neg`` carries one child; leaves carry their literal ``text``.
-    ``span`` is the character range in the source and does not take part
-    in structural equality.
-    """
-
-    kind: str
-    op: str | None = None
-    children: tuple["ExprNode", ...] = ()
-    text: str | None = None
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-
-    def value(self) -> float:
-        """Numeric value of a number leaf."""
-        if self.kind != "number":
-            raise ValueError(f"not a number leaf: {self.kind}")
-        return float(self.text)
 
 
 @dataclass(frozen=True)
@@ -69,18 +39,13 @@ class AlignedFormula:
 
     ``text`` ranges over the alphabet ``@+-*/();`` (';' joins merged
     steps), ``token_count`` counts the placeholders, and ``origin`` keeps
-    the raw pre-alignment string.
+    the raw pre-alignment string. ``align_variables`` and ``merge_steps``
+    build only such texts; the constructor does not check them.
     """
 
     text: str
     token_count: int
     origin: str
-
-    def __post_init__(self):
-        if self.text and not ALIGNED_ALPHABET_RE.match(self.text):
-            raise ValueError(f"aligned text contains foreign characters: {self.text!r}")
-        if not _balanced(self.text):
-            raise ValueError(f"aligned text has unbalanced parentheses: {self.text!r}")
 
 
 @dataclass(frozen=True)
@@ -122,18 +87,6 @@ def split_balanced(a: AlignedFormula | str) -> SplitResult:
         return SplitResult(None, a, "")
     _, i, ch = best
     return SplitResult(ch, a[:i], a[i + 1 :])
-
-
-def _balanced(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
 
 
 # ---------------------------------------------------------------------------
@@ -196,114 +149,6 @@ def _tokenize(s: str) -> list[tuple[str, str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Recursive-descent parser
-# ---------------------------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], source_len: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.source_len = source_len
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _err_pos(self) -> int:
-        tok = self._peek()
-        return tok[2] if tok else self.source_len
-
-    def expr(self, depth: int = 0) -> ExprNode:
-        node = self.term(depth)
-        while (tok := self._peek()) and tok[0] == "op" and tok[1] in "+-":
-            self.pos += 1
-            right = self.term(depth)
-            node = ExprNode(
-                "binary", tok[1], (node, right), span=(node.span[0], right.span[1])
-            )
-        return node
-
-    def term(self, depth: int) -> ExprNode:
-        node = self.factor(depth)
-        while (tok := self._peek()) and tok[0] == "op" and tok[1] in "*/":
-            self.pos += 1
-            right = self.factor(depth)
-            node = ExprNode(
-                "binary", tok[1], (node, right), span=(node.span[0], right.span[1])
-            )
-        return node
-
-    def factor(self, depth: int) -> ExprNode:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("expected operand, found end of input", self._err_pos())
-        kind, text, pos = tok
-        if depth > MAX_NESTING:
-            raise ParseError(f"nested more than {MAX_NESTING} levels deep", pos)
-        if kind == "number":
-            self.pos += 1
-            return ExprNode("number", text=text, span=(pos, pos + len(text)))
-        if kind in ("ident", "at"):
-            self.pos += 1
-            return ExprNode("identifier", text=text, span=(pos, pos + len(text)))
-        if kind == "lparen":
-            self.pos += 1
-            node = self.expr(depth + 1)
-            closing = self._peek()
-            if closing is None or closing[0] != "rparen":
-                raise ParseError("expected ')'", self._err_pos())
-            self.pos += 1
-            return ExprNode(
-                node.kind,
-                node.op,
-                node.children,
-                node.text,
-                span=(pos, closing[2] + 1),
-            )
-        if kind == "op" and text == "-":
-            self.pos += 1
-            child = self.factor(depth + 1)
-            return ExprNode("neg", children=(child,), span=(pos, child.span[1]))
-        raise ParseError(f"unexpected token {text!r}", pos)
-
-
-def parse_expression(raw: str) -> ExprNode:
-    """Parse expression text into an AST.
-
-    Currency symbols, backslash escapes, and thousands separators are
-    stripped while tokenizing, so error positions refer to the raw input.
-    """
-    tokens = _tokenize(raw)
-    if not tokens:
-        raise ParseError("empty expression", 0)
-    parser = _Parser(tokens, len(raw))
-    node = parser.expr()
-    tok = parser._peek()
-    if tok is not None:
-        raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
-    return node
-
-
-def to_text(node: ExprNode) -> str:
-    """Render an AST back to text; reparsing yields a structurally equal tree."""
-    if node.kind in ("number", "identifier"):
-        return node.text
-    if node.kind == "neg":
-        child = node.children[0]
-        inner = to_text(child)
-        return f"-({inner})" if child.kind == "binary" else f"-{inner}"
-    left, right = node.children
-    prec = _PREC[node.op]
-    left_s = to_text(left)
-    if left.kind == "binary" and _PREC[left.op] < prec:
-        left_s = f"({left_s})"
-    right_s = to_text(right)
-    if right.kind == "binary" and _PREC[right.op] <= prec:
-        right_s = f"({right_s})"
-    return f"{left_s}{node.op}{right_s}"
-
-
-# ---------------------------------------------------------------------------
 # Variable alignment
 # ---------------------------------------------------------------------------
 
@@ -316,8 +161,8 @@ def _align_part(part: str) -> tuple[str, int]:
     operand count.
 
     One pass over the tokens that expects an operand or an operator and
-    counts open parentheses; below MAX_NESTING it raises the
-    ``ParseError`` that ``parse_expression(part)`` raises, at its position.
+    counts open parentheses; text outside the grammar raises
+    ``ParseError`` at the first token that does not fit, or at the end.
     """
     tokens = _tokenize(part)
     if not tokens:
@@ -355,15 +200,13 @@ def _align_part(part: str) -> tuple[str, int]:
     return "".join(out), count
 
 
-def align_variables(expr: ExprNode | str) -> AlignedFormula:
+def align_variables(raw: str) -> AlignedFormula:
     """Replace every number and identifier with '@', keeping structure.
 
-    Accepts raw expression text (validated as it aligns, with input
-    parentheses preserved verbatim) or an already-parsed node. Text with
-    ';' separators is aligned piecewise, so merged formulas realign to
-    themselves.
+    The text is validated as it aligns, with input parentheses preserved
+    verbatim. Text with ';' separators is aligned piecewise, so merged
+    formulas realign to themselves.
     """
-    raw = to_text(expr) if isinstance(expr, ExprNode) else expr
     texts = []
     count = 0
     for part in raw.split(";"):
@@ -478,6 +321,19 @@ def _has_operator(segment: str) -> bool:
         return False
 
 
+def _stated_result(segment: str) -> float | None:
+    """The value of a segment that is a bare number, parentheses
+    allowed; None for any other segment."""
+    try:
+        text, _count = _align_part(segment)
+    except ParseError:
+        return None
+    if text.strip("()") != "@":
+        return None
+    kind, number, _ = next(tok for tok in _tokenize(segment) if tok[0] != "lparen")
+    return float(number) if kind == "number" else None
+
+
 def find_chains(text: str) -> list[Chain]:
     """Find arithmetic steps in model output text.
 
@@ -510,13 +366,7 @@ def find_chains(text: str) -> list[Chain]:
                 j = _skip_pad(line, nxt_end)
             expr_seg = next((s for s in segments if _has_operator(s)), None)
             if expr_seg is not None:
-                result = None
-                last = segments[-1]
-                if len(segments) > 1 and not _has_operator(last):
-                    try:
-                        result = parse_expression(last).value()
-                    except (ParseError, ValueError):
-                        result = None
-                chains.append(Chain(expr_seg, result))
+                # a segment with an operator states no result, so a lone segment states none
+                chains.append(Chain(expr_seg, _stated_result(segments[-1])))
             i = max(j, end)
     return chains

@@ -20,7 +20,7 @@ from typing import Protocol, Sequence
 
 import requests
 
-from .datasets import read_json_object
+from .datasets import check_fields, read_json_object
 from .errors import (
     AuthError,
     BackendError,
@@ -229,6 +229,16 @@ def fingerprint(messages: Sequence[Message]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+# the top level of a mock script; a fingerprint maps to a string list
+_MOCK_SCRIPT_FIELDS = (
+    ("fingerprints", (dict,), {}),
+    ("rules", (list,), []),
+    ("default", (str, type(None)), None),
+    ("strict", (bool,), False),
+    ("stateful", (bool,), False),
+)
+
+
 def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
@@ -272,12 +282,9 @@ class MockBackend:
         """The backend a JSON script describes; SchemaError names the
         field of a malformed script."""
         obj = read_json_object(path)
-        script = obj.get("fingerprints") or {}
-        if not isinstance(script, dict) or not all(map(_strings, script.values())):
+        script, rules, default, strict, stateful = check_fields(obj, _MOCK_SCRIPT_FIELDS, 1)
+        if not all(map(_strings, script.values())):
             raise SchemaError("fingerprints is not a map of string lists", 1, "fingerprints")
-        rules = obj.get("rules") or []
-        if not isinstance(rules, list):
-            raise SchemaError("rules is not a list", 1, "rules")
         for i, rule in enumerate(rules):
             if not (
                 isinstance(rule, dict)
@@ -290,18 +297,12 @@ class MockBackend:
                     1,
                     "rules",
                 )
-        default = obj.get("default")
-        if not isinstance(default, (str, type(None))):
-            raise SchemaError("default is not a string", 1, "default")
-        for name in ("strict", "stateful"):
-            if not isinstance(obj.get(name, False), bool):
-                raise SchemaError(f"{name} is not a boolean", 1, name)
         return cls(
             script=script,
             rules=[(rule["contains"], rule["completions"]) for rule in rules],
             default=default,
-            strict=obj.get("strict", False),
-            stateful=obj.get("stateful", False),
+            strict=strict,
+            stateful=stateful,
         )
 
     def _lookup(self, req: ChatRequest) -> tuple[str, list[str]]:

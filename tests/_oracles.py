@@ -3,7 +3,9 @@
 These deliberately avoid the package's bottom-up DP kernels: the edit
 distance here is the textbook top-down recursion on string suffixes.
 The dedup reference is the greedy scan of per-pair ``tls`` calls. The
-alignment references parse each formula into a tree first.
+formula references parse each formula into a tree first, by recursive
+descent over the precedence grammar, where the library makes one flat
+pass over the tokens.
 """
 
 from __future__ import annotations
@@ -56,15 +58,81 @@ def greedy_dedup(examples, cfg, sem):
     return kept
 
 
+def parse_tree(raw: str):
+    """Parse formula text by recursive descent into nested tuples:
+    ``("number", text)``, ``("identifier", text)``, ``("neg", child)`` or
+    ``(op, left, right)``. The grammar is
+
+        Expr   := Term (('+' | '-') Term)*
+        Term   := Factor (('*' | '/') Factor)*
+        Factor := Number | Identifier | '(' Expr ')' | '-' Factor
+
+    and text outside it raises the ``ParseError`` that alignment must
+    raise, with the same message and position."""
+    from mathcontrast.errors import ParseError
+    from mathcontrast.formula import _tokenize
+
+    tokens = _tokenize(raw)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def expr():
+        nonlocal pos
+        node = term()
+        while (tok := peek()) and tok[0] == "op" and tok[1] in "+-":
+            pos += 1
+            node = (tok[1], node, term())
+        return node
+
+    def term():
+        nonlocal pos
+        node = factor()
+        while (tok := peek()) and tok[0] == "op" and tok[1] in "*/":
+            pos += 1
+            node = (tok[1], node, factor())
+        return node
+
+    def factor():
+        nonlocal pos
+        tok = peek()
+        if tok is None:
+            raise ParseError("expected operand, found end of input", len(raw))
+        kind, text, at = tok
+        pos += 1
+        if kind == "number":
+            return ("number", text)
+        if kind in ("ident", "at"):
+            return ("identifier", text)
+        if kind == "lparen":
+            node = expr()
+            closing = peek()
+            if closing is None or closing[0] != "rparen":
+                raise ParseError("expected ')'", closing[2] if closing else len(raw))
+            pos += 1
+            return node
+        if kind == "op" and text == "-":
+            return ("neg", factor())
+        raise ParseError(f"unexpected token {text!r}", at)
+
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    node = expr()
+    if (tok := peek()) is not None:
+        raise ParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
+    return node
+
+
 def align_by_tree(raw: str):
     """``align_variables(raw)`` by parsing each ';'-part into a tree, then
     writing '@' for each number, identifier and placeholder token."""
-    from mathcontrast.formula import AlignedFormula, _tokenize, parse_expression
+    from mathcontrast.formula import AlignedFormula, _tokenize
 
     texts = []
     count = 0
     for part in raw.split(";"):
-        parse_expression(part)
+        parse_tree(part)
         out = []
         for kind, text, _pos in _tokenize(part):
             if kind in ("number", "ident", "at"):
@@ -76,18 +144,24 @@ def align_by_tree(raw: str):
     return AlignedFormula(";".join(texts), count, raw)
 
 
-def has_operator_by_tree(segment: str) -> bool:
-    """Whether ``segment`` parses into a tree with a binary node."""
+def _tree_or_none(segment: str):
     from mathcontrast.errors import ParseError
-    from mathcontrast.formula import parse_expression
 
     try:
-        stack = [parse_expression(segment)]
+        return parse_tree(segment)
     except ParseError:
-        return False
-    while stack:
-        node = stack.pop()
-        if node.kind == "binary":
-            return True
-        stack.extend(node.children)
-    return False
+        return None
+
+
+def has_operator_by_tree(segment: str) -> bool:
+    """Whether ``segment`` parses into a tree with a binary node."""
+    node = _tree_or_none(segment)
+    while node is not None and node[0] == "neg":
+        node = node[1]
+    return node is not None and node[0] not in ("number", "identifier")
+
+
+def stated_result_by_tree(segment: str) -> float | None:
+    """The value of ``segment`` when it parses into a number leaf, else None."""
+    node = _tree_or_none(segment)
+    return float(node[1]) if node is not None and node[0] == "number" else None

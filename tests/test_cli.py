@@ -667,6 +667,8 @@ def test_config_file_float_field_takes_an_int(tmp_path):
         ('{"rules": {"contains": "x"}}', "rules"),
         ('{"fingerprints": {"ab": "x"}}', "fingerprints"),
         ('{"fingerprints": [["ab", ["x"]]]}', "fingerprints"),
+        ('{"fingerprints": []}', "fingerprints"),
+        ('{"rules": null}', "rules"),
         ('{"default": 5}', "default"),
         ('{"strict": "no"}', "strict"),
     ],

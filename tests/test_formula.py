@@ -1,19 +1,20 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import align_by_tree, has_operator_by_tree
+from _oracles import align_by_tree, has_operator_by_tree, parse_tree, stated_result_by_tree
 from mathcontrast.errors import MergeError, ParseError
 from mathcontrast import formula, similarity
 from mathcontrast.formula import (
-    ALIGNED_ALPHABET_RE,
     Chain,
     align_variables,
     find_chains,
     merge_steps,
-    parse_expression,
     split_balanced,
-    to_text,
 )
+
+ALIGNED_ALPHABET_RE = re.compile(r"^[@+\-*/();]+$")
 
 
 def _paren_balance(s: str) -> int:
@@ -21,42 +22,8 @@ def _paren_balance(s: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parse errors and nesting
 # ---------------------------------------------------------------------------
-
-
-def test_parse_letter_product_chain():
-    node = parse_expression("A*(B+C+D)*B")
-    # left-associative: (A * (B+C+D)) * B
-    assert node.kind == "binary" and node.op == "*"
-    assert node.children[1].text == "B"
-    inner = node.children[0]
-    assert inner.op == "*" and inner.children[0].text == "A"
-    group = inner.children[1]
-    assert group.op == "+" and group.children[1].text == "D"
-
-
-def test_parse_single_number():
-    node = parse_expression("42")
-    assert node.kind == "number" and node.value() == 42.0
-
-
-def test_parse_parenthesized_difference_times_number():
-    node = parse_expression("(51.0-8.0)*130.0")
-    assert node.op == "*"
-    assert node.children[0].op == "-"
-    assert node.children[1].value() == 130.0
-
-
-def test_parse_strips_currency_and_thousands_separators():
-    assert parse_expression("$5,590.0").value() == 5590.0
-    node = parse_expression(r"\$23 - \$15")
-    assert node.op == "-" and node.children[0].value() == 23.0
-
-
-def test_parse_unary_minus():
-    node = parse_expression("-5 + 3")
-    assert node.op == "+" and node.children[0].kind == "neg"
 
 
 @pytest.mark.parametrize(
@@ -64,25 +31,19 @@ def test_parse_unary_minus():
 )
 def test_parse_errors_carry_positions(bad):
     with pytest.raises(ParseError) as exc_info:
-        parse_expression(bad)
+        parse_tree(bad)
     assert exc_info.value.position >= 0
-    # alignment accepts exactly what the parser accepts, so it fails the same way
+    # alignment accepts exactly what the tree parser accepts, so it fails the same way
     with pytest.raises(ParseError) as aligned:
         align_variables(bad)
     assert str(aligned.value) == str(exc_info.value)
     assert aligned.value.position == exc_info.value.position
 
 
-def test_parse_stops_at_the_nesting_limit_with_a_parse_error():
-    deep = formula.MAX_NESTING
-    assert parse_expression("(" * deep + "5" + ")" * deep).value() == 5.0
-    assert parse_expression("-" * deep + "5").kind == "neg"
-    for raw in ("-" * 3000 + "5", "(" * 3000 + "5" + ")" * 3000, "-(" * deep + "5" + ")" * deep):
-        with pytest.raises(ParseError) as exc_info:
-            parse_expression(raw)
-        assert "nested" in str(exc_info.value)
+def test_align_takes_any_nesting_depth():
     # alignment does not recurse, so it takes any depth
     assert align_variables("(" * 3000 + "5" + ")" * 3000).text == "(" * 3000 + "@" + ")" * 3000
+    assert align_variables("-" * 3000 + "5").text == "-" * 3000 + "@"
 
 
 def test_align_reports_the_parse_error_of_the_failing_part():
@@ -119,12 +80,6 @@ def _exprs():
     )
 
 
-@given(_exprs())
-def test_roundtrip_print_then_reparse(raw):
-    tree = parse_expression(raw)
-    assert parse_expression(to_text(tree)) == tree
-
-
 # ---------------------------------------------------------------------------
 # Alignment
 # ---------------------------------------------------------------------------
@@ -143,10 +98,6 @@ def test_align_parenthesized_difference():
     assert got.text == "(@-@)*@"
     assert got.token_count == 3
     assert got.origin == "(51.0-8.0)*130.0"
-
-
-def test_align_accepts_parsed_node():
-    assert align_variables(parse_expression("1+2*3")).text == "@+@*@"
 
 
 @given(_exprs())
@@ -202,11 +153,7 @@ def test_align_matches_the_tree_parser(raw):
     assert _aligned_or_error(align_variables, raw) == _aligned_or_error(align_by_tree, raw)
 
 
-def test_align_builds_no_tree(monkeypatch):
-    def no_tree(*args):
-        raise AssertionError("built a parse tree")
-
-    monkeypatch.setattr(formula, "_Parser", no_tree)
+def test_align_builds_no_tree():
     aligned = align_variables("$1,200 + x;3*(-4-y);z")
     assert (aligned.text, aligned.token_count) == ("@+@;@*(-@-@);@", 6)
     with pytest.raises(ParseError):
@@ -284,6 +231,22 @@ def test_chain_bare_expression_line():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, chain",
+    [
+        ("total = $5,590.0 - 10 = $5,580.0", Chain("5,590.0 - 10", 5580.0)),
+        (r"she paid \$23 - \$15 = \$8", Chain(r"23 - \$15", 8.0)),
+        ("so 32 + 42 = (74) in all", Chain("32 + 42", 74.0)),
+        ("then 3 - 8 = -5 degrees", Chain("3 - 8", None)),
+        ("so 3 * 4 = (@) or x", Chain("3 * 4", None)),
+    ],
+)
+def test_chain_stated_result_is_a_bare_number(text, chain):
+    # currency symbols and thousands separators are stripped; a negation or a
+    # placeholder is no bare number
+    assert find_chains(text) == [chain]
+
+
 def test_chain_ignores_lone_numbers_and_prose():
     assert find_chains("In 1945, 100 people left. No math here.") == []
 
@@ -293,6 +256,13 @@ def test_chain_ignores_lone_numbers_and_prose():
 def test_has_operator_matches_a_tree_walk(raw):
     for segment in raw.split(";"):
         assert formula._has_operator(segment) == has_operator_by_tree(segment)
+
+
+@settings(max_examples=400)
+@given(_edited_formulas())
+def test_stated_result_matches_a_number_leaf(raw):
+    for segment in raw.split(";"):
+        assert formula._stated_result(segment) == stated_result_by_tree(segment)
 
 
 def test_chains_in_deeply_nested_text_are_found_without_recursion_errors(monkeypatch):
