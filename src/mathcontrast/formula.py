@@ -314,7 +314,11 @@ def _scan_expression(line: str, i: int, depth: int = 0) -> int | None:
 
 def _has_operator(segment: str) -> bool:
     """Whether the segment parses and has a binary operator: a valid
-    expression has one operand more than it has binary operators."""
+    expression has one operand more than it has binary operators. A
+    segment without an operator character has none, so it is not
+    aligned."""
+    if not any(op in segment for op in "+-*/"):
+        return False
     try:
         return _align_part(segment)[1] > 1
     except ParseError:
@@ -332,6 +336,21 @@ def _stated_result(segment: str) -> float | None:
         return None
     kind, number, _ = next(tok for tok in _tokenize(segment) if tok[0] != "lparen")
     return float(number) if kind == "number" else None
+
+
+def _next_start(line: str, i: int) -> int:
+    """Where to look for a span after a failed scan from i.
+
+    A scan from an opener ('(' or '-') whose run of openers is longer
+    than MAX_NESTING fails at the nesting limit, so the run's openers
+    that still have more than MAX_NESTING openers ahead are skipped.
+    """
+    openers = []
+    j = i
+    while j < len(line) and line[j] in "(-":
+        openers.append(j)
+        j = _skip_pad(line, j + 1)
+    return openers[-MAX_NESTING] if len(openers) > MAX_NESTING else i + 1
 
 
 def find_chains(text: str) -> list[Chain]:
@@ -353,7 +372,7 @@ def find_chains(text: str) -> list[Chain]:
                 continue
             end = _scan_expression(line, i)
             if end is None:
-                i += 1
+                i = _next_start(line, i)
                 continue
             segments = [line[i:end].strip()]
             j = _skip_pad(line, end)

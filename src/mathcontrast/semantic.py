@@ -25,12 +25,43 @@ from .similarity import cosine_normed
 EMBED_DIM = 256
 # texts per numpy pass of HashingNgramProvider.embed_many; bounds its temporaries
 EMBED_CHUNK = 32
-# bits per code point in a packed n-gram key (code points stay below 2**21)
-_CODE_BITS = 21
 # texts in the per-text vector cache of a provider; a full cache is cleared
 EMBED_CACHE_LIMIT = 1 << 13
 # texts per POST of RemoteEmbeddingProvider.embed_many
 EMBED_BATCH = 64
+
+
+def _crc_table(n: int) -> tuple[np.uint32, np.ndarray]:
+    """crc32 of n zero bytes, and an (n, 128) table whose row i, column
+    b is crc32 of n zero bytes with the ASCII byte b at position i, XOR
+    crc32 of n zero bytes.
+
+    crc32 is affine over GF(2) on messages of one length, so the crc32
+    of an n-byte gram is that of n zero bytes XOR row i's entry for its
+    byte i, over every i (Stigge et al., "Reversing CRC - Theory and
+    Practice", 2006).
+    """
+    zero = zlib.crc32(bytes(n))
+    table = [
+        [zlib.crc32(bytes(i) + bytes([b]) + bytes(n - 1 - i)) ^ zero for b in range(128)]
+        for i in range(n)
+    ]
+    return np.uint32(zero), np.array(table, dtype=np.uint32)
+
+
+# per gram length, built once: 640 crc32 calls
+_CRC_TABLES = {n: _crc_table(n) for n in (2, 3)}
+
+
+def _gram_crcs(codes: np.ndarray, n: int) -> np.ndarray:
+    """crc32 of the n-gram at each position of the ASCII bytes ``codes``
+    that starts one, as uint32."""
+    zero, table = _CRC_TABLES[n]
+    stop = len(codes) - n + 1
+    crcs = table[0][codes[:stop]] ^ zero
+    for i in range(1, n):
+        crcs ^= table[i][codes[i : i + stop]]
+    return crcs
 
 
 class _CosineProvider:
@@ -152,46 +183,31 @@ class HashingNgramProvider(_CosineProvider):
         """``embed`` of each text, counted for ``EMBED_CHUNK`` texts per
         numpy pass.
 
-        Each n-gram is packed into one integer, ``_CODE_BITS`` per code
-        point, so ``np.unique`` finds a chunk's distinct grams. The keys
-        met so far stay sorted with their buckets across chunks, so
-        crc32 runs once per distinct gram of the call.
+        The grams of a text whose padded, lowercased form is ASCII are
+        hashed by table lookup (``_gram_crcs``) at every position of the
+        chunk at once; any other text takes its row from ``embed``.
         """
         out = np.zeros((len(texts), EMBED_DIM))
-        # per n (a 2-gram's key can equal a 3-gram's): sorted keys, buckets
-        known = {n: (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp)) for n in (2, 3)}
         for start in range(0, len(texts), EMBED_CHUNK):
-            chunk = [f"^{text.lower()}$" for text in texts[start : start + EMBED_CHUNK]]
-            joined = "".join(chunk)
-            codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
-            codes = codes.astype(np.int64)
-            row = np.repeat(np.arange(len(chunk), dtype=np.int32), [len(t) for t in chunk])
-            counts = out[start : start + len(chunk)]
+            block = out[start : start + EMBED_CHUNK]
+            padded = {}
+            for i, text in enumerate(texts[start : start + EMBED_CHUNK]):
+                chars = f"^{text.lower()}$"
+                if chars.isascii():
+                    padded[i] = chars
+                else:
+                    block[i] = self.embed(text)
+            if not padded:
+                continue
+            codes = np.frombuffer("".join(padded.values()).encode("ascii"), dtype=np.uint8)
+            row = np.repeat(list(padded), [len(chars) for chars in padded.values()])
+            cells = []
             for n in (2, 3):
                 stop = len(codes) - n + 1
-                # a gram lies within one text when its first and last code do
-                at = np.flatnonzero(row[:stop] == row[n - 1 :])
-                keys = codes[at]
-                for j in range(1, n):
-                    keys <<= _CODE_BITS
-                    keys |= codes[at + j]
-                grams, inverse = np.unique(keys, return_inverse=True)
-                known_keys, known_buckets = known[n]
-                new = ~np.isin(grams, known_keys, assume_unique=True)
-                if new.any():
-                    where = np.empty(len(grams), dtype=np.intp)
-                    where[inverse] = at  # an occurrence of each distinct gram
-                    fresh = [
-                        zlib.crc32(joined[i : i + n].encode("utf-8")) % EMBED_DIM
-                        for i in where[new].tolist()
-                    ]
-                    known_keys = np.concatenate([known_keys, grams[new]])
-                    known_buckets = np.concatenate([known_buckets, np.array(fresh, dtype=np.intp)])
-                    order = np.argsort(known_keys)
-                    known[n] = known_keys, known_buckets = known_keys[order], known_buckets[order]
-                buckets = known_buckets[np.searchsorted(known_keys, grams)]
-                cells = row[at] * EMBED_DIM + buckets[inverse]
-                counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
+                # a gram lies within one text when its first and last byte do
+                within = row[:stop] == row[n - 1 :]
+                cells.append((row[:stop] * EMBED_DIM + _gram_crcs(codes, n) % EMBED_DIM)[within])
+            block += np.bincount(np.concatenate(cells), minlength=block.size).reshape(block.shape)
         return out
 
 

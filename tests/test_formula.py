@@ -282,6 +282,34 @@ def test_chains_in_deeply_nested_text_are_found_without_recursion_errors(monkeyp
     ]
 
 
+@pytest.mark.parametrize("opener, depth", [("(", 1), ("(-", 2), ("( - ", 2)])
+def test_chains_past_a_run_of_openers_cost_no_more_as_the_run_grows(monkeypatch, opener, depth):
+    reads = []
+    read = formula._read_token
+    monkeypatch.setattr(formula, "_read_token", lambda s, i: reads.append(i) or read(s, i))
+    counts = {}
+    for levels in (2000, 4000):
+        reads.clear()
+        chains = find_chains(opener * levels + "1+2" + ")" * levels)
+        counts[levels] = len(reads)
+        # the span starts at the first opener that a scan can follow to the end
+        inner = formula.MAX_NESTING // depth
+        assert [chain.expression for chain in chains] == [
+            (opener * inner + "1+2" + ")" * inner).strip()
+        ]
+    # a scan from each opener of the run would read about MAX_NESTING tokens per level
+    assert counts[4000] - counts[2000] < 2000
+
+
+def test_chains_align_only_segments_with_an_operator_character(monkeypatch):
+    aligned = []
+    align = formula._align_part
+    monkeypatch.setattr(formula, "_align_part", lambda s: aligned.append(s) or align(s))
+    text = "In 1945, 100 people left (2 of them twice); then 3 + 4 = 7 = (7) and 2 = -5 = 3"
+    assert find_chains(text) == [Chain("3 + 4", 7.0)]
+    assert aligned == ["3 + 4", "(7)", "-5"]
+
+
 def test_chain_three_part_equation():
     chains = find_chains("So, there are 200 * (1 - 2/5) = 200 * (3/5) = 120 boys")
     assert chains == [Chain("200 * (1 - 2/5)", 120.0)]

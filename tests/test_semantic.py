@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -80,6 +81,7 @@ EDGE_TEXTS = [
     "\x00nul\x00",
     "^$ sentinels ^^$$ inside",
     "How many apples does Ann have?",
+    "\u212a",  # KELVIN SIGN, whose lowercase is the ASCII "k"
 ]
 
 
@@ -101,13 +103,9 @@ def test_embed_many_equals_stacked_embed_exactly():
     assert sem.embed_many([]).shape == (0, EMBED_DIM)
 
 
-def test_embed_many_hashes_each_distinct_gram_once(monkeypatch):
-    texts = _texts(3 * EMBED_CHUNK + 5, seed=3)
-    texts += texts[:EMBED_CHUNK]  # a chunk of grams all seen before
-    grams = set()
-    for text in texts:
-        padded = f"^{text.lower()}$"
-        grams.update(padded[i : i + n] for n in (2, 3) for i in range(len(padded) - n + 1))
+def _counting_crc32(monkeypatch):
+    """Patch ``zlib.crc32`` as the semantic module sees it; returns the
+    list of the bytes it is called on."""
     hashed = []
     crc32 = zlib.crc32
 
@@ -116,10 +114,52 @@ def test_embed_many_hashes_each_distinct_gram_once(monkeypatch):
         return crc32(data)
 
     monkeypatch.setattr(semantic.zlib, "crc32", counting)
+    return hashed
+
+
+def _padded_grams(text):
+    padded = f"^{text.lower()}$"
+    return [padded[i : i + n].encode("utf-8") for n in (2, 3) for i in range(len(padded) - n + 1)]
+
+
+def test_embed_many_hashes_ascii_texts_without_crc32(monkeypatch):
+    rng = random.Random(3)
+    texts = [t for t in EDGE_TEXTS if f"^{t.lower()}$".isascii()]
+    texts += ["".join(map(chr, rng.choices(range(128), k=rng.randrange(30)))) for _ in range(70)]
+    expected = np.stack([HashingNgramProvider().embed(t) for t in texts])
+    hashed = _counting_crc32(monkeypatch)
     got = HashingNgramProvider().embed_many(texts)
-    assert sorted(hashed) == sorted(gram.encode("utf-8") for gram in grams)
-    monkeypatch.setattr(semantic.zlib, "crc32", crc32)
-    assert np.array_equal(got, np.stack([HashingNgramProvider().embed(t) for t in texts]))
+    assert hashed == []
+    assert np.array_equal(got, expected)
+
+
+def test_embed_many_runs_crc32_only_for_the_grams_of_non_ascii_texts(monkeypatch):
+    texts = _texts(3 * EMBED_CHUNK + 5, seed=3) + ["\u212aelvin", "\u212a"]
+    expected = np.stack([HashingNgramProvider().embed(t) for t in texts])
+    hashed = _counting_crc32(monkeypatch)
+    got = HashingNgramProvider().embed_many(texts)
+    # KELVIN SIGN lowercases to an ASCII "k", so its texts need no crc32 call
+    other = [t for t in texts if not f"^{t.lower()}$".isascii()]
+    assert "\u212a" not in "".join(other)
+    assert 0 < len(other) < len(texts)
+    assert sorted(hashed) == sorted(gram for t in other for gram in _padded_grams(t))
+    assert np.array_equal(got, expected)
+
+
+def test_crc_tables_give_crc32_of_every_ascii_2_gram_and_sampled_3_grams():
+    pairs = np.array(list(itertools.product(range(128), repeat=2)), dtype=np.uint8)
+    rng = random.Random(5)
+    special = [0, ord("^"), ord("$")]
+    triples = [tuple(rng.choice(special + [rng.randrange(128)]) for _ in range(3)) for _ in range(2000)]
+    triples += list(itertools.product(special, repeat=3))
+    triples += [tuple(rng.randrange(128) for _ in range(3)) for _ in range(20000)]
+    for n, grams in ((2, pairs), (3, np.array(triples, dtype=np.uint8))):
+        # a gram starts at every n-th position of the concatenated grams
+        got = semantic._gram_crcs(grams.ravel(), n)[::n]
+        assert got.dtype == np.uint32
+        expected = [zlib.crc32(gram.tobytes()) for gram in grams]
+        assert got.tolist() == expected
+        assert (got % EMBED_DIM).tolist() == [crc % EMBED_DIM for crc in expected]
 
 
 def test_hashing_similarities_equal_per_pair_bit_for_bit():
