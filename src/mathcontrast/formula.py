@@ -97,20 +97,24 @@ _SKIP_CHARS = {"$", "\\"}
 
 
 def _read_token(s: str, i: int) -> tuple[str, str, int] | None:
-    """Read one token at index ``i``; None when s[i] starts no token."""
+    """Read one token at index ``i``; None when s[i] starts no token.
+
+    A number's digits are those ``float`` reads (``str.isdecimal``), so
+    a superscript or another digit-like character starts no number.
+    """
     ch = s[i]
-    if ch.isdigit() or (ch == "." and i + 1 < len(s) and s[i + 1].isdigit()):
+    if ch.isdecimal() or (ch == "." and i + 1 < len(s) and s[i + 1].isdecimal()):
         j = i
         seen_dot = False
         text = []
         while j < len(s):
             c = s[j]
-            if c.isdigit():
+            if c.isdecimal():
                 text.append(c)
-            elif c == "." and not seen_dot and j + 1 < len(s) and s[j + 1].isdigit():
+            elif c == "." and not seen_dot and j + 1 < len(s) and s[j + 1].isdecimal():
                 seen_dot = True
                 text.append(c)
-            elif c == "," and j + 1 < len(s) and s[j + 1].isdigit() and j > i:
+            elif c == "," and j + 1 < len(s) and s[j + 1].isdecimal() and j > i:
                 pass  # thousands separator inside a number
             else:
                 break
@@ -367,7 +371,7 @@ def find_chains(text: str) -> list[Chain]:
         i = 0
         while i < len(line):
             ch = line[i]
-            if not (ch.isdigit() or ch == "("):
+            if not (ch.isdecimal() or ch == "("):
                 i += 1
                 continue
             end = _scan_expression(line, i)

@@ -215,17 +215,20 @@ def rank(
     so the order is exact given the same embeddings and the same BLAS
     build; another build may sum a float embedding's dot product in
     another order and break a near tie the other way. Given ``k``, only
-    the first ``k`` of that order are sorted and returned.
+    the first ``k`` of that order are returned: the logic term is
+    computed only for entries whose upper bound can reach the k-th best
+    score (``scores``' ``top``), and only those entries are sorted.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     index = retrieval_index(examples)
-    scores = similarity.scores(target, index.questions, index.table, cfg, sem)
-    rows = np.arange(len(scores))
+    scores = similarity.scores(target, index.questions, index.table, cfg, sem, top=k)
+    # the entries scored; those left out (-inf) cannot reach the k-th best
+    rows = np.flatnonzero(scores > -np.inf)
     if k is not None and k < len(rows):
         # every entry tied with the k-th best score stays for the id order
-        kth = np.partition(scores, len(rows) - k)[len(rows) - k]
-        rows = np.flatnonzero(scores >= kth)
+        kth = np.partition(scores[rows], len(rows) - k)[len(rows) - k]
+        rows = rows[scores[rows] >= kth]
     order = rows[np.lexsort((index.id_rank[rows], -scores[rows]))][:k]
     return [(index.entries[i], score) for i, score in zip(order.tolist(), scores[order].tolist())]
 

@@ -150,6 +150,39 @@ def _memo_distance(memo: dict[tuple[str, str], float], a: str, b: str) -> float:
     return hit
 
 
+# the characters of aligned text, counted per string by char_counts
+COUNTED = "@+-*/();"
+
+
+def char_counts(strings: Sequence[str]) -> np.ndarray:
+    """Each string's length and its count of each character of
+    ``COUNTED``: one row each, one column per string. int32 keeps the
+    temporaries of each bound small."""
+    counts = np.empty((1 + len(COUNTED), len(strings)), dtype=np.int32)
+    counts[0] = [len(s) for s in strings]
+    for row, ch in enumerate(COUNTED, 1):
+        counts[row] = [s.count(ch) for s in strings]
+    return counts
+
+
+def levenshtein_lower_bound(s: str, counts: np.ndarray) -> np.ndarray:
+    """A lower bound on ``levenshtein(s, t)`` for each string ``t``
+    counted in ``counts`` (see ``char_counts``): the larger of their
+    length difference and half the L1 distance of their character
+    counts, rounded up. One edit changes the length by at most 1 and
+    that L1 distance by at most 2, whatever the characters (Kahveci and
+    Singh's frequency distance, VLDB 2001)."""
+    own = np.array([s.count(ch) for ch in COUNTED], dtype=np.int32)
+    l1 = np.abs(counts[1:] - own[:, None]).sum(axis=0)
+    return np.maximum(np.abs(counts[0] - len(s)), (l1 + 1) >> 1)
+
+
+def lower_distance(s: str, counts: np.ndarray) -> np.ndarray:
+    """A lower bound on ``norm_distance(s, t)`` for each string ``t``
+    counted in ``counts``, 0 for two empty strings as there."""
+    return 2 * levenshtein_lower_bound(s, counts) / np.maximum(counts[0] + len(s), 1)
+
+
 class FormulaTable:
     """The formulas of a corpus, split once, for the logic similarity of
     one target against all of them as arrays.
@@ -189,13 +222,15 @@ class FormulaTable:
         self.paired = np.array(paired, dtype=np.intp)
         self.left = np.array(left, dtype=np.intp)
         self.right = np.array(right, dtype=np.intp)
+        # char_counts of texts and branches, built by the first bound call
+        self._counts: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _row(self, branch: str, mask: np.ndarray) -> np.ndarray:
-        """norm_distance(branch, self.branches[i]) at each i where
-        ``mask`` is set, 0 elsewhere."""
+    def _row(self, s: str, strings: list[str], mask: np.ndarray) -> np.ndarray:
+        """norm_distance(s, strings[i]) at each i where ``mask`` is set,
+        0 elsewhere."""
         ids = np.flatnonzero(mask).tolist()
-        row = np.zeros(len(self.branches))
-        row[ids] = [_memo_distance(self.memo, branch, self.branches[i]) for i in ids]
+        row = np.zeros(len(strings))
+        row[ids] = [_memo_distance(self.memo, s, strings[i]) for i in ids]
         return row
 
     def check(self, formula: AlignedFormula | str) -> str:
@@ -214,20 +249,43 @@ class FormulaTable:
         Only the distinct texts and branches those entries gather to are
         compared.
         """
+        return self._similarity(formula, rows, self.texts, self.branches, self._row)
+
+    def bound(self, formula: AlignedFormula | str, rows=None) -> np.ndarray:
+        """An upper bound on ``logic(formula, rows)``, elementwise, that
+        compares no formula: the same operations with ``lower_distance``
+        in place of ``norm_distance``.
+
+        Each lower distance is a correctly rounded quotient of integers
+        with the denominator of the ``norm_distance`` it stands for and
+        a numerator no larger, and every later step (a sum, a minimum,
+        ``1 - min(d, 2) / 2``) is monotone under IEEE rounding, so no
+        element falls below the exact one. The count rows of the texts
+        and branches are built on the first call.
+        """
+        counts = self._counts
+        if counts is None:
+            # one assignment, so threads sharing the table see both rows or neither
+            counts = self._counts = (char_counts(self.texts), char_counts(self.branches))
+        return self._similarity(formula, rows, *counts, lambda s, c, _: lower_distance(s, c))
+
+    def _similarity(self, formula, rows, texts, branches, row) -> np.ndarray:
+        """The logic similarity of ``formula`` to each entry (at
+        ``rows``), given ``row(s, strings, mask)``: the distance from
+        ``s`` to each of ``strings`` (``texts`` or ``branches``), needed
+        where ``mask`` is set."""
         if not len(self.gather):
             return np.zeros(0)
         text = self.check(formula)
         split = split_balanced(text)
         at = self.gather if rows is None else self.gather[rows]
-        distance = np.zeros(len(self.texts))
         need = np.zeros(len(self.texts), dtype=bool)
         need[at] = True
         if split.operator is not None:
             wanted = need[self.paired]
             left, right, paired = self.left[wanted], self.right[wanted], self.paired[wanted]
             need[self.paired] = False
-        whole = np.flatnonzero(need).tolist()
-        distance[whole] = [2 * _memo_distance(self.memo, text, self.texts[i]) for i in whole]
+        distance = 2 * row(text, texts, need)
         if split.operator is not None:
             commutative = split.operator in _COMMUTATIVE
             lefts = np.zeros(len(self.branches), dtype=bool)
@@ -235,7 +293,7 @@ class FormulaTable:
             lefts[left] = rights[right] = True
             if commutative:
                 lefts = rights = lefts | rights
-            dl, dr = self._row(split.left, lefts), self._row(split.right, rights)
+            dl, dr = row(split.left, branches, lefts), row(split.right, branches, rights)
             pairs = dl[left] + dr[right]
             if commutative:
                 pairs = np.minimum(pairs, dl[right] + dr[left])
@@ -275,6 +333,7 @@ def scores(
     *,
     rows=None,
     above: float | None = None,
+    top: int | None = None,
 ) -> np.ndarray:
     """``tls(target, (q, f))`` for each question ``q`` and the formula
     ``f`` of each entry of ``table``, as a float64 array.
@@ -299,6 +358,15 @@ def scores(
     -0.0, bit for bit). A degenerate target or table raises
     DegenerateInput before the provider is asked, however few entries
     are left to compare.
+
+    ``top`` (a count k) also skips every entry that cannot be among the
+    k best or tie with the k-th: each remaining entry gets an upper
+    bound, ``alpha * table.bound(...) + (1 - alpha) * semantic``, and
+    entries are scored exactly in descending bound order, in batches of
+    k, 2k, 4k and so on (an entry tied with a batch's lowest bound joins
+    it), until every bound left is strictly below the k-th best exact
+    score so far. No entry left can reach that score, so the k best
+    scores and every tie with the k-th are exact.
     """
     question, formula = target
     alpha = cfg.alpha
@@ -317,7 +385,21 @@ def scores(
     if above is not None:
         keep = _combine(alpha, 1.0, semantic) > above
         rows, semantic = rows[keep], semantic[keep]
-    logic = table.logic(formula, rows) if alpha > 0.0 else 0.0
     out = np.full(len(questions), -np.inf)
-    out[rows] = _combine(alpha, logic, semantic)
+    if alpha > 0.0 and top is not None and top < len(rows):
+        bound = _combine(alpha, table.bound(formula, rows), semantic)
+        exact = np.full(len(rows), -np.inf)
+        scored = np.zeros(len(rows), dtype=bool)
+        size, kth = top, -np.inf
+        while (live := np.flatnonzero(~scored & (bound >= kth))).size:
+            if len(live) > size:  # the highest bounds left, ties at the cut included
+                live = live[bound[live] >= np.partition(bound[live], -size)[-size]]
+            exact[live] = _combine(alpha, table.logic(formula, rows[live]), semantic[live])
+            scored[live] = True
+            size *= 2
+            kth = np.partition(exact[scored], -top)[-top]
+        out[rows] = exact
+    else:
+        logic = table.logic(formula, rows) if alpha > 0.0 else 0.0
+        out[rows] = _combine(alpha, logic, semantic)
     return out

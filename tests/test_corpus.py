@@ -364,6 +364,25 @@ def test_dedup_on_a_corpus_builds_one_index_that_a_later_rank_reuses(monkeypatch
     assert [(ex.id, score) for ex, score in ranked][0] == (corpus[3].id, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+def test_dedup_builds_no_count_rows_that_only_bounded_top_k_reads(monkeypatch, alpha):
+    built = []
+    counts = similarity.char_counts
+    monkeypatch.setattr(similarity, "char_counts", lambda texts: built.append(1) or counts(texts))
+    rng = random.Random(7)
+    corpus = Corpus(
+        _example(i, rng.choice(DEDUP_QUESTIONS), rng.choice(DEDUP_FORMULAS)) for i in range(30)
+    )
+    cfg, sem = SimilarityConfig(alpha=alpha, dedup_threshold=0.9), HashingNgramProvider()
+    assert 1 < len(dedup(corpus, cfg, sem)) < len(corpus)
+    assert built == [] and corpus.index().table._counts is None
+    # a later top-k rank on the same corpus builds them, once
+    target = (corpus[0].question, corpus[0].right_formula)
+    for _ in range(2):
+        rank(target, corpus, SimilarityConfig(alpha=0.7), sem, 3)
+    assert len(built) == 2 and corpus.index().table._counts is not None
+
+
 def test_dedup_computes_each_unordered_branch_pair_once(monkeypatch):
     rng = random.Random(4)
     formulas = ["32+42", "7*6", "(32+42)-35", "5-2", "(1+2)*3", "9/3+1", "1*2-3/4", "(1+2)-(3*4)"]

@@ -5,11 +5,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mathcontrast import _kernels, corpus as corpus_mod
 from mathcontrast.corpus import Corpus, ReferenceExample
 from mathcontrast.errors import ExtractionError
-from mathcontrast.formula import align_variables
+from mathcontrast.formula import Chain, align_variables, find_chains
 from mathcontrast.gateway import MockBackend
 from mathcontrast.pipeline import (
     build_contrastive_prompt,
@@ -218,6 +219,33 @@ def test_preprocess_falls_back_to_plan_text():
     assert out.final_answer == 7.0
 
 
+@pytest.mark.parametrize(
+    "completion, steps",
+    [
+        # a superscript digit states no result: the chain keeps its expression only
+        ("First 3 + 4 = \u2077, then the answer is 7.", ("3 + 4",)),
+        # a superscript operand leaves no step at all
+        ("2 + \u00b2 = 4", None),
+    ],
+)
+def test_preprocess_reads_no_number_from_a_superscript_digit(completion, steps):
+    assert "\u2077".isdigit() and not "\u2077".isdecimal()
+    backend = MockBackend(default=completion)
+    if steps is None:
+        with pytest.raises(ExtractionError):
+            preprocess("superscript question", backend)
+        return
+    out = preprocess("superscript question", backend)
+    assert out.algebraic_steps == steps
+    assert [chain.result for chain in find_chains(completion)] == [None]
+    assert out.total_formula.text == "@+@"
+
+
+def test_an_identifier_may_end_in_a_superscript_digit():
+    assert align_variables("x\u00b2 + 1").text == "@+@"
+    assert find_chains("so 2 * x\u00b2 = 8") == [Chain("2 * x\u00b2", 8.0)]
+
+
 # ---------------------------------------------------------------------------
 # Retrieval
 # ---------------------------------------------------------------------------
@@ -369,6 +397,49 @@ def test_rank_top_k_equals_the_head_of_the_full_order(alpha):
             assert rank(target, examples, cfg, sem, k) == full[:k]
         with pytest.raises(ValueError):
             rank(target, examples, cfg, sem, 0)
+
+
+_TIE_QUESTIONS = ["fish row", "apple seat", "fish row apple"]
+_TIE_FORMULAS = ["1+2", "3*4", "(1+2)-3", "1+2*3", "5-6", "(9)", "1+2;3*4", "(1+2)*(3-4)"]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_TIE_QUESTIONS), st.sampled_from(_TIE_FORMULAS)),
+        min_size=1,
+        max_size=16,
+    ),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.sampled_from(["@+@", "@*@-@", "(@+@)-@", "@", "@+@;@*@", "(@)/(@-@)"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_bounded_top_k_equals_the_head_of_the_full_order_bit_for_bit(entries, alpha, formula):
+    # repeated questions and formulas, so scores tie at the k-th place
+    examples = [_example(i, q, f) for i, (q, f) in enumerate(entries)]
+    cfg, sem = SimilarityConfig(alpha=alpha), HashingNgramProvider()
+    for target in [("fish row", formula), (examples[-1].question, examples[-1].right_formula)]:
+        for pool in (examples, Corpus(examples)):
+            full = [(ex.id, score.hex()) for ex, score in rank(target, pool, cfg, sem)]
+            for k in range(1, len(examples) + 2):
+                got = [(ex.id, score.hex()) for ex, score in rank(target, pool, cfg, sem, k)]
+                assert got == full[:k]
+
+
+def test_rank_top_k_compares_fewer_formulas_than_the_full_order(monkeypatch):
+    examples = _seeded_corpus(400, seed=12)
+    sem = HashingNgramProvider()
+    targets = [(ex.question, ex.right_formula) for ex in examples[:10]]
+    targets += [("apple total row", "@*(@+@)-@"), ("fish", "(@-@)/@;@+@")]
+    calls, kernel = [], _kernels.levenshtein_codes
+    monkeypatch.setattr(_kernels, "levenshtein_codes", lambda a, b: calls.append(1) or kernel(a, b))
+    counts = {}
+    for k in (7, None):
+        corpus = Corpus(examples)  # a fresh index, so no memo is shared between the two
+        calls.clear()
+        for target in targets:
+            rank(target, corpus, CFG, sem, k)
+        counts[k] = len(calls)
+    assert 0 < counts[7] < counts[None]
 
 
 def test_rank_on_an_edited_corpus_equals_brute_force():

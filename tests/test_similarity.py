@@ -12,8 +12,10 @@ from mathcontrast.semantic import HashingNgramProvider
 from mathcontrast.similarity import (
     FormulaTable,
     SimilarityConfig,
+    char_counts,
     cosine,
     levenshtein,
+    levenshtein_lower_bound,
     logic_similarity,
     norm_distance,
     split_balanced,
@@ -451,6 +453,63 @@ def test_scores_with_a_bound_skip_only_entries_whose_bound_rules_them_out(monkey
     semantic_only = SimilarityConfig(alpha=0.0)
     got = similarity.scores(("q", "@"), ["q"] * 4, table, semantic_only, sem, rows=[0, 2], above=0.4)
     assert got.tolist() == [0.5, -np.inf, 0.5, -np.inf] and not compared
+
+
+@given(
+    st.one_of(st.text(alphabet="@+-*/();ab x", max_size=16), st.text(max_size=16)),
+    st.lists(st.one_of(st.text(alphabet="@+-*/();ab x", max_size=16), st.text(max_size=16))),
+)
+@settings(max_examples=300)
+def test_levenshtein_lower_bound_never_exceeds_the_distance(a, others):
+    # characters outside the counted ones change no count, so the bound still holds
+    bounds = levenshtein_lower_bound(a, char_counts(others)).tolist()
+    for bound, b in zip(bounds, others):
+        assert bound <= _kernels.levenshtein_codes(a, b)
+    assert levenshtein_lower_bound(a, char_counts([a])).tolist() == [0]
+
+
+@given(
+    st.lists(table_formulas, min_size=1, max_size=12),
+    st.lists(table_formulas, min_size=1, max_size=3),
+    st.lists(st.integers(0, 11), max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_formula_table_bound_is_never_below_logic(formulas, targets, picked):
+    table = FormulaTable(formulas)
+    rows = sorted({i for i in picked if i < len(formulas)})
+    for target in targets:
+        for at in (None, rows):
+            bound, logic = table.bound(target, at), table.logic(target, at)
+            assert bound.shape == logic.shape
+            assert (bound >= logic).all()
+            assert (bound <= 1.0).all()
+
+
+@given(
+    st.lists(table_formulas, min_size=1, max_size=12),
+    table_formulas,
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.lists(st.integers(0, 11), max_size=12),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    st.integers(1, 13),
+)
+@settings(max_examples=200, deadline=None)
+def test_scores_given_top_keep_the_k_best_and_their_ties_exact(
+    formulas, target, alpha, picked, above, top
+):
+    questions = [f"question {i % 3}" for i in range(len(formulas))]
+    cfg, sem, pair = SimilarityConfig(alpha=alpha), HashingNgramProvider(), ("question 1", target)
+    rows = sorted({i for i in picked if i < len(formulas)}) or None
+    table = FormulaTable(formulas)
+    every = similarity.scores(pair, questions, table, cfg, sem, rows=rows, above=above)
+    got = similarity.scores(pair, questions, table, cfg, sem, rows=rows, above=above, top=top)
+    kept = np.sort(every[every > -np.inf])[::-1]
+    # every entry that reaches the k-th best score holds its exact score; no other entry is lost
+    kth = kept[min(top, len(kept)) - 1] if len(kept) else np.inf
+    reach = every >= kth
+    assert [x.hex() for x in got[reach].tolist()] == [x.hex() for x in every[reach].tolist()]
+    assert (got[~reach] < kth).all()
+    assert ((got == every) | (got == -np.inf)).all()
 
 
 def test_scores_raise_degenerate_input_before_the_provider_however_few_rows_are_left():
