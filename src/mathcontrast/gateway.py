@@ -14,6 +14,7 @@ import json
 import logging
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -249,7 +250,11 @@ class MockBackend:
     Completions are looked up by the fingerprint of the full message
     list, with optional substring rules as a hand-writable fallback
     (every string in a rule's ``contains`` must appear in the
-    concatenated message contents; first matching rule wins). A request
+    concatenated message contents; first matching rule wins). Each rule
+    is filed under its anchor, the needle of its ``contains`` that the
+    fewest rules share, so a lookup tests each anchor at most once and
+    checks only the rules filed under the anchors present; the rules
+    are fixed at construction. A request
     for n samples takes the first n scripted completions, cycling when
     the script is shorter. With ``stateful=True`` repeated requests
     keep consuming the script instead of restarting it, which lets one
@@ -266,16 +271,25 @@ class MockBackend:
         stateful: bool = False,
     ):
         self.script = dict(script or {})
-        self.rules = [
+        self.rules = tuple(
             ((c,) if isinstance(c, str) else tuple(c), list(comps))
             for c, comps in rules
-        ]
+        )
         self.default = default
         self.strict = strict
         self.stateful = stateful
         self.calls: list[ChatRequest] = []
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
+        # a rule without needles matches every text, so no later rule can win
+        self._unanchored = next(
+            (i for i, (needles, _) in enumerate(self.rules) if not needles), len(self.rules)
+        )
+        shared = Counter(needle for needles, _ in self.rules for needle in set(needles))
+        filed: dict[str, list[int]] = {}
+        for i, (needles, _) in enumerate(self.rules[: self._unanchored]):
+            filed.setdefault(min(needles, key=shared.__getitem__), []).append(i)
+        self._anchors = tuple(filed.items())
 
     @classmethod
     def from_file(cls, path) -> "MockBackend":
@@ -283,17 +297,19 @@ class MockBackend:
         field of a malformed script."""
         obj = read_json_object(path)
         script, rules, default, strict, stateful = check_fields(obj, _MOCK_SCRIPT_FIELDS, 1)
-        if not all(map(_strings, script.values())):
-            raise SchemaError("fingerprints is not a map of string lists", 1, "fingerprints")
+        # an empty completion list has nothing to cycle through
+        if not all(_strings(comps) and comps for comps in script.values()):
+            raise SchemaError("fingerprints is not a map of non-empty string lists", 1, "fingerprints")
         for i, rule in enumerate(rules):
             if not (
                 isinstance(rule, dict)
                 and (isinstance(rule.get("contains"), str) or _strings(rule.get("contains")))
                 and _strings(rule.get("completions"))
+                and rule["completions"]
             ):
                 raise SchemaError(
                     f"rule {i} needs 'contains' (a string or string list) and "
-                    "'completions' (a string list)",
+                    "'completions' (a non-empty string list)",
                     1,
                     "rules",
                 )
@@ -310,9 +326,23 @@ class MockBackend:
         if fp in self.script:
             return fp, self.script[fp]
         text = "\n".join(content for _role, content in req.messages)
-        for needles, completions in self.rules:
-            if all(needle in text for needle in needles):
-                return "rule:" + "|".join(needles), completions
+        rules = self.rules
+        best = self._unanchored
+        # anchors come in the order of their first rule
+        for anchor, filed in self._anchors:
+            if filed[0] >= best:
+                break
+            if anchor not in text:
+                continue
+            for i in filed:
+                if i >= best:
+                    break
+                if all(needle in text for needle in rules[i][0]):
+                    best = i
+                    break
+        if best < len(rules):
+            needles, completions = rules[best]
+            return "rule:" + "|".join(needles), completions
         if self.default is not None and not self.strict:
             return "default", [self.default]
         raise UnknownPrompt(f"no script for prompt fingerprint {fp}")

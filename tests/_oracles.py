@@ -5,7 +5,8 @@ distance here is the textbook top-down recursion on string suffixes.
 The dedup reference is the greedy scan of per-pair ``tls`` calls. The
 formula references parse each formula into a tree first, by recursive
 descent over the precedence grammar, where the library makes one flat
-pass over the tokens.
+pass over the tokens. The mock-script reference tries every substring
+rule in order, where the mock backend looks up its anchor index.
 """
 
 from __future__ import annotations
@@ -165,3 +166,13 @@ def stated_result_by_tree(segment: str) -> float | None:
     """The value of ``segment`` when it parses into a number leaf, else None."""
     node = _tree_or_none(segment)
     return float(node[1]) if node is not None and node[0] == "number" else None
+
+
+def first_rule_by_scan(rules, text: str):
+    """The ``(key, completions)`` of the first rule whose needles all
+    occur in ``text``, or None; ``rules`` are ``MockBackend.rules``,
+    ``(needles, completions)`` pairs, tried in order."""
+    for needles, completions in rules:
+        if all(needle in text for needle in needles):
+            return "rule:" + "|".join(needles), completions
+    return None

@@ -668,6 +668,8 @@ def test_config_file_float_field_takes_an_int(tmp_path):
         ('{"fingerprints": {"ab": "x"}}', "fingerprints"),
         ('{"fingerprints": [["ab", ["x"]]]}', "fingerprints"),
         ('{"fingerprints": []}', "fingerprints"),
+        ('{"fingerprints": {"ab": []}}', "fingerprints"),
+        ('{"rules": [{"contains": "How", "completions": []}]}', "rules"),
         ('{"rules": null}', "rules"),
         ('{"default": 5}', "default"),
         ('{"strict": "no"}', "strict"),

@@ -4,12 +4,15 @@ import time
 
 import pytest
 import requests
+from _oracles import first_rule_by_scan
+from hypothesis import example, given, settings, strategies as st
 
 from mathcontrast import gateway
 from mathcontrast.errors import (
     AuthError,
     BackendError,
     RateLimited,
+    SchemaError,
     TransportError,
     UnknownPrompt,
 )
@@ -121,6 +124,101 @@ def test_mock_from_file(tmp_path):
     assert backend.complete(ChatRequest(magic)).completions == ("ruled",)
     other = (("user", "???"),)
     assert backend.complete(ChatRequest(other)).completions == ("fallback",)
+
+
+@pytest.mark.parametrize(
+    "script, field",
+    [
+        ({"rules": [{"contains": "How", "completions": []}], "strict": True}, "rules"),
+        ({"rules": [{"contains": "a", "completions": ["x"]}, {"contains": [], "completions": []}]}, "rules"),
+        ({"fingerprints": {fingerprint(MSGS): []}}, "fingerprints"),
+    ],
+)
+def test_mock_from_file_rejects_empty_completion_lists(tmp_path, script, field):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    with pytest.raises(SchemaError) as exc_info:
+        MockBackend.from_file(path)
+    assert (exc_info.value.line, exc_info.value.field) == (1, field)
+
+
+def test_mock_rules_with_identical_contains_share_one_cursor():
+    # the string form and the one-element list are the same needles
+    backend = MockBackend(rules=[("x", ["a", "b", "c"]), (["x"], ["never"])], stateful=True)
+    req = ChatRequest((("user", "x marks the spot"),))
+    got = [backend.complete(req).completions for _ in range(4)]
+    assert got == [("a",), ("b",), ("c",), ("a",)]
+    assert backend._cursors == {"rule:x": 4}
+
+
+def test_mock_stateful_set_after_construction_consumes_the_script():
+    # the benchmark's stub server turns stateful on after from_file
+    backend = MockBackend(rules=[(["x", "y"], ["a", "b"]), ("x", ["c"])])
+    backend.stateful = True
+    req = ChatRequest((("user", "x and y"),))
+    got = [backend.complete(req).completions for _ in range(3)]
+    assert got == [("a",), ("b",), ("a",)]
+
+
+@st.composite
+def _rules_and_texts(draw):
+    """Rules and message texts over a few short needles of three
+    letters, which overlap and are often prefixes of one another. Rules
+    draw their ``contains`` from a small pool, so duplicate tuples are
+    common; each rule's one completion names its index. A text joins
+    needles with a fourth letter, which no needle holds, or is random."""
+    vocab = draw(st.lists(st.text(alphabet="abc", max_size=3), min_size=1, max_size=6, unique=True))
+    needle = st.sampled_from(vocab)
+    pool = draw(st.lists(st.lists(needle, max_size=3), min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=12))
+    text = st.lists(needle, max_size=4).map("d".join) | st.text(alphabet="abcd", max_size=6)
+    texts = draw(st.lists(text, min_size=1, max_size=2))
+    return [(contains, [f"rule {i}"]) for i, contains in enumerate(picks)], texts
+
+
+def _case(rules, texts, default=None, strict=False, scripted=False):
+    return dict(
+        case=([(contains, [f"rule {i}"]) for i, contains in enumerate(rules)], texts),
+        default=default,
+        strict=strict,
+        scripted=scripted,
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    case=_rules_and_texts(),
+    default=st.none() | st.just("fallback"),
+    strict=st.booleans(),
+    scripted=st.booleans(),
+)
+# rule 1 has no needles: it shadows rule 2, not rule 0
+@example(**_case([["b"], [], ["a"]], ["a"]))
+@example(**_case([["b"], [], ["a"]], ["b"]))
+# rule 0 is filed under "b", its rarer needle, and "a" is absent
+@example(**_case([["a", "b"], ["a"]], ["b"]))
+# duplicate tuples, a needle that is a prefix of another, one repeated
+@example(**_case([["ab", "a"], ["a"], ["ab", "a"], ["c", "c"]], ["cab"]))
+@example(**_case([["a", "a"], [""]], ["b", "c"], default="fallback"))
+# no match: strict ignores the default
+@example(**_case([["a"]], ["dd"], default="fallback", strict=True))
+@example(**_case([["a"]], ["a"], scripted=True))
+def test_mock_lookup_is_the_first_rule_of_a_linear_scan(case, default, strict, scripted):
+    rules, texts = case
+    messages = tuple(("user", text) for text in texts)
+    script = {fingerprint(messages): ["scripted"]} if scripted else {}
+    backend = MockBackend(script=script, rules=rules, default=default, strict=strict)
+    req = ChatRequest(messages)
+    expected = first_rule_by_scan(backend.rules, "\n".join(texts))
+    if scripted:
+        assert backend._lookup(req) == (fingerprint(messages), ["scripted"])
+    elif expected is not None:
+        assert backend._lookup(req) == expected
+    elif default is not None and not strict:
+        assert backend._lookup(req) == ("default", ["fallback"])
+    else:
+        with pytest.raises(UnknownPrompt):
+            backend._lookup(req)
 
 
 # ---------------------------------------------------------------------------
