@@ -275,6 +275,13 @@ class MockBackend:
             ((c,) if isinstance(c, str) else tuple(c), list(comps))
             for c, comps in rules
         )
+        # an empty completion list has nothing to cycle through
+        for fp, comps in self.script.items():
+            if not comps:
+                raise ValueError(f"fingerprint {fp} has no completions")
+        for i, (_, comps) in enumerate(self.rules):
+            if not comps:
+                raise ValueError(f"rule {i} has no completions")
         self.default = default
         self.strict = strict
         self.stateful = stateful
@@ -342,7 +349,10 @@ class MockBackend:
                     break
         if best < len(rules):
             needles, completions = rules[best]
-            return "rule:" + "|".join(needles), completions
+            # the stateful cursor's key; escaping keeps rules with different
+            # needles apart, while rules with identical needles share one
+            escaped = (needle.replace("\\", "\\\\").replace("|", "\\|") for needle in needles)
+            return "rule:" + "|".join(escaped), completions
         if self.default is not None and not self.strict:
             return "default", [self.default]
         raise UnknownPrompt(f"no script for prompt fingerprint {fp}")

@@ -23,7 +23,7 @@ from .gateway import post_json
 from .similarity import cosine_normed
 
 EMBED_DIM = 256
-# texts per numpy pass of HashingNgramProvider.embed_many; bounds its temporaries
+# texts per numpy pass of the offline provider's gram count; bounds its temporaries
 EMBED_CHUNK = 32
 # texts in the per-text vector cache of a provider; a full cache is cleared
 EMBED_CACHE_LIMIT = 1 << 13
@@ -31,37 +31,87 @@ EMBED_CACHE_LIMIT = 1 << 13
 EMBED_BATCH = 64
 
 
-def _crc_table(n: int) -> tuple[np.uint32, np.ndarray]:
-    """crc32 of n zero bytes, and an (n, 128) table whose row i, column
-    b is crc32 of n zero bytes with the ASCII byte b at position i, XOR
-    crc32 of n zero bytes.
+def _bucket_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """uint8 tables of the bucket, crc32 % EMBED_DIM, of every ASCII
+    gram: that of a 2-gram (a, b) is ``pair2[a * 128 + b]``, and that of
+    a 3-gram (a, b, c) is ``pair3[a * 128 + b] ^ last3[c]``.
 
     crc32 is affine over GF(2) on messages of one length, so the crc32
-    of an n-byte gram is that of n zero bytes XOR row i's entry for its
-    byte i, over every i (Stigge et al., "Reversing CRC - Theory and
-    Practice", 2006).
+    of an n-byte gram is the crc32 of n zero bytes XOR one term per
+    position i: the crc32 of n zero bytes with the gram's byte at
+    position i, XOR the crc32 of n zero bytes (Stigge et al., "Reversing
+    CRC - Theory and Practice", 2006). EMBED_DIM is 256, so a bucket is
+    a crc32's low byte, and the low byte of an XOR is the XOR of the low
+    bytes. Built at import from 642 crc32 calls.
     """
-    zero = zlib.crc32(bytes(n))
-    table = [
-        [zlib.crc32(bytes(i) + bytes([b]) + bytes(n - 1 - i)) ^ zero for b in range(128)]
-        for i in range(n)
-    ]
-    return np.uint32(zero), np.array(table, dtype=np.uint32)
+    # plain Python: numpy arithmetic here kept about 0.3 MB more of
+    # numpy's code resident, code that counting does not use
+    low = {}
+    for n in (2, 3):
+        zero = zlib.crc32(bytes(n))
+        # row 0 keeps the crc32 of n zero bytes
+        low[n] = [
+            [
+                (zlib.crc32(bytes(i) + bytes([b]) + bytes(n - 1 - i)) ^ (zero if i else 0)) % EMBED_DIM
+                for b in range(128)
+            ]
+            for i in range(n)
+        ]
+    pair2, pair3 = (
+        np.frombuffer(bytes(x ^ y for x in low[n][0] for y in low[n][1]), dtype=np.uint8) for n in (2, 3)
+    )
+    return pair2, pair3, np.array(low[3][2], dtype=np.uint8)
 
 
-# per gram length, built once: 640 crc32 calls
-_CRC_TABLES = {n: _crc_table(n) for n in (2, 3)}
+_PAIR2, _PAIR3, _LAST3 = _bucket_tables()
 
 
-def _gram_crcs(codes: np.ndarray, n: int) -> np.ndarray:
-    """crc32 of the n-gram at each position of the ASCII bytes ``codes``
-    that starts one, as uint32."""
-    zero, table = _CRC_TABLES[n]
-    stop = len(codes) - n + 1
-    crcs = table[0][codes[:stop]] ^ zero
-    for i in range(1, n):
-        crcs ^= table[i][codes[i : i + stop]]
-    return crcs
+def _count_grams(texts: Sequence[str]) -> np.ndarray:
+    """The offline embeddings of ``texts`` as the rows of a float64
+    (n, EMBED_DIM) matrix: for each text, lowercased and padded with the
+    sentinels ``^`` and ``$``, the count of its 2- and 3-grams in each
+    crc32 % EMBED_DIM bucket.
+
+    ``EMBED_CHUNK`` texts per numpy pass. The grams of the texts whose
+    padded form is ASCII are bucketed by ``_bucket_tables`` lookup at
+    every position of the chunk at once; any other text calls crc32 on
+    the UTF-8 bytes of each of its grams.
+    """
+    out = np.zeros((len(texts), EMBED_DIM))
+    for start in range(0, len(texts), EMBED_CHUNK):
+        block = out[start : start + EMBED_CHUNK]
+        rows = []
+        for i, text in enumerate(texts[start : start + EMBED_CHUNK]):
+            padded = f"^{text.lower()}$"
+            if padded.isascii():
+                rows.append((i, padded))
+            else:
+                block[i] = np.bincount(
+                    [
+                        zlib.crc32(padded[j : j + n].encode("utf-8")) % EMBED_DIM
+                        for n in (2, 3)
+                        for j in range(len(padded) - n + 1)
+                    ],
+                    minlength=EMBED_DIM,
+                )
+        if not rows:
+            continue
+        codes = np.frombuffer("".join(padded for _, padded in rows).encode("ascii"), dtype=np.uint8)
+        # the cell of each 2-gram, then of each 3-gram, starts at its text's
+        # row; a gram that runs into the next text counts in a spare row
+        spare = len(block) * EMBED_DIM
+        offsets, counts = [], []
+        for n in (2, 3):
+            for i, padded in rows:
+                offsets += (i * EMBED_DIM, spare)
+                counts += (len(padded) - n + 1, n - 1)
+            counts[-1] = 0
+        cells = np.repeat(offsets, counts)
+        pairs = codes[:-1].astype(np.uint16) << 7 | codes[1:]
+        cells[: len(pairs)] += _PAIR2.take(pairs)
+        cells[len(pairs) :] += _PAIR3.take(pairs[:-1]) ^ _LAST3.take(codes[2:])
+        block += np.bincount(cells, minlength=spare + EMBED_DIM)[:spare].reshape(block.shape)
+    return out
 
 
 class _CosineProvider:
@@ -171,44 +221,12 @@ class HashingNgramProvider(_CosineProvider):
     """
 
     def embed(self, text: str) -> np.ndarray:
-        padded = f"^{text.lower()}$"
-        buckets = [
-            zlib.crc32(padded[i : i + n].encode("utf-8")) % EMBED_DIM
-            for n in (2, 3)
-            for i in range(len(padded) - n + 1)
-        ]
-        return np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
+        # not self.embed_many: a subclass may override that
+        return _count_grams((text,))[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """``embed`` of each text, counted for ``EMBED_CHUNK`` texts per
-        numpy pass.
-
-        The grams of a text whose padded, lowercased form is ASCII are
-        hashed by table lookup (``_gram_crcs``) at every position of the
-        chunk at once; any other text takes its row from ``embed``.
-        """
-        out = np.zeros((len(texts), EMBED_DIM))
-        for start in range(0, len(texts), EMBED_CHUNK):
-            block = out[start : start + EMBED_CHUNK]
-            padded = {}
-            for i, text in enumerate(texts[start : start + EMBED_CHUNK]):
-                chars = f"^{text.lower()}$"
-                if chars.isascii():
-                    padded[i] = chars
-                else:
-                    block[i] = self.embed(text)
-            if not padded:
-                continue
-            codes = np.frombuffer("".join(padded.values()).encode("ascii"), dtype=np.uint8)
-            row = np.repeat(list(padded), [len(chars) for chars in padded.values()])
-            cells = []
-            for n in (2, 3):
-                stop = len(codes) - n + 1
-                # a gram lies within one text when its first and last byte do
-                within = row[:stop] == row[n - 1 :]
-                cells.append((row[:stop] * EMBED_DIM + _gram_crcs(codes, n) % EMBED_DIM)[within])
-            block += np.bincount(np.concatenate(cells), minlength=block.size).reshape(block.shape)
-        return out
+        """``embed`` of each text, by the same count (``_count_grams``)."""
+        return _count_grams(texts)
 
 
 # a failed POST, or a reply without the expected fields and types

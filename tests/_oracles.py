@@ -6,12 +6,17 @@ The dedup reference is the greedy scan of per-pair ``tls`` calls. The
 formula references parse each formula into a tree first, by recursive
 descent over the precedence grammar, where the library makes one flat
 pass over the tokens. The mock-script reference tries every substring
-rule in order, where the mock backend looks up its anchor index.
+rule in order, where the mock backend looks up its anchor index. The
+embedding reference calls crc32 once per n-gram, where the offline
+provider looks buckets up in byte tables.
 """
 
 from __future__ import annotations
 
+import zlib
 from functools import lru_cache
+
+import numpy as np
 
 
 def lev_recursive(a: str, b: str) -> int:
@@ -174,5 +179,19 @@ def first_rule_by_scan(rules, text: str):
     ``(needles, completions)`` pairs, tried in order."""
     for needles, completions in rules:
         if all(needle in text for needle in needles):
-            return "rule:" + "|".join(needles), completions
+            escaped = (needle.replace("\\", "\\\\").replace("|", "\\|") for needle in needles)
+            return "rule:" + "|".join(escaped), completions
     return None
+
+
+def embed_by_crc32(text: str) -> np.ndarray:
+    """``HashingNgramProvider.embed(text)``: the 2- and 3-grams of the
+    lowercased text between the sentinels ``^`` and ``$``, counted in
+    bucket crc32 % 256 of their UTF-8 bytes, one crc32 call per gram."""
+    padded = f"^{text.lower()}$"
+    buckets = [
+        zlib.crc32(padded[i : i + n].encode("utf-8")) % 256
+        for n in (2, 3)
+        for i in range(len(padded) - n + 1)
+    ]
+    return np.bincount(buckets, minlength=256).astype(np.float64)

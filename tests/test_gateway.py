@@ -151,6 +151,39 @@ def test_mock_rules_with_identical_contains_share_one_cursor():
     assert backend._cursors == {"rule:x": 4}
 
 
+@pytest.mark.parametrize(
+    "joined, split",
+    [
+        (["x|y"], ["x", "y"]),
+        # escaping "|" alone would key both rules "rule:x\\|y"
+        (["x|y"], ["x\\", "y"]),
+    ],
+)
+def test_mock_rules_with_different_contains_keep_their_own_cursors(joined, split):
+    # a needle holding the key's separator must not share the cursor of
+    # the needles it would join into
+    backend = MockBackend(rules=[(joined, ["c", "d"]), (split, ["a", "b"])], stateful=True)
+    got = [
+        backend.complete(ChatRequest((("user", text),))).completions
+        for text in (" ".join(split), "".join(joined))
+    ]
+    assert got == [("a",), ("c",)]
+    assert len(backend._cursors) == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"rules": [("a", ["x"]), ("b", [])]}, "rule 1"),
+        ({"rules": [([], [])]}, "rule 0"),
+        ({"script": {"f00d": []}}, "fingerprint f00d"),
+    ],
+)
+def test_mock_rejects_empty_completion_lists(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MockBackend(**kwargs)
+
+
 def test_mock_stateful_set_after_construction_consumes_the_script():
     # the benchmark's stub server turns stateful on after from_file
     backend = MockBackend(rules=[(["x", "y"], ["a", "b"]), ("x", ["c"])])

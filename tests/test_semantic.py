@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import requests
 
-from _oracles import greedy_dedup
+from _oracles import embed_by_crc32, greedy_dedup
+from hypothesis import example, given, settings, strategies as st
 from mathcontrast import gateway, semantic
 from mathcontrast.corpus import ReferenceExample, dedup
 from mathcontrast.errors import DimensionMismatch, ProviderError, ZeroVector
@@ -103,6 +104,35 @@ def test_embed_many_equals_stacked_embed_exactly():
     assert sem.embed_many([]).shape == (0, EMBED_DIM)
 
 
+# every ASCII code, and code points whose lowercase or UTF-8 form is not
+# one byte per character (KELVIN SIGN lowercases to an ASCII "k")
+_EMBED_ALPHABET = "".join(map(chr, range(128))) + "\u212a\u0130\u00df\u00e9\u20ac\U0001F600\u00c4\u00f6\u03a3"
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.text(alphabet=_EMBED_ALPHABET, max_size=40), max_size=3 * EMBED_CHUNK))
+@example(texts=[])
+@example(texts=["", "\x00", "\x7f", "ABC", "\u212a", "\u0130", "\U0001F600"])
+@example(texts=["a"] * (EMBED_CHUNK + 1) + ["\u0130"])
+@example(texts=["\U0001F600"] * EMBED_CHUNK + ["x" * 40])
+def test_embed_and_embed_many_equal_the_crc32_loop_bit_for_bit(texts):
+    sem = HashingNgramProvider()
+    expected = [embed_by_crc32(t) for t in texts]
+    got = sem.embed_many(texts)
+    assert got.dtype == np.float64 and got.shape == (len(texts), EMBED_DIM)
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in expected]
+    assert [sem.embed(t).tobytes() for t in texts] == [row.tobytes() for row in expected]
+
+
+def test_embed_does_not_dispatch_through_an_overridden_embed_many():
+    class OnlyMany(HashingNgramProvider):
+        def embed_many(self, texts):
+            return super().embed_many(texts) * 2
+
+    for text in EDGE_TEXTS:
+        assert np.array_equal(OnlyMany().embed(text), embed_by_crc32(text))
+
+
 def _counting_crc32(monkeypatch):
     """Patch ``zlib.crc32`` as the semantic module sees it; returns the
     list of the bytes it is called on."""
@@ -122,44 +152,48 @@ def _padded_grams(text):
     return [padded[i : i + n].encode("utf-8") for n in (2, 3) for i in range(len(padded) - n + 1)]
 
 
-def test_embed_many_hashes_ascii_texts_without_crc32(monkeypatch):
+def test_ascii_texts_embed_without_crc32(monkeypatch):
     rng = random.Random(3)
     texts = [t for t in EDGE_TEXTS if f"^{t.lower()}$".isascii()]
     texts += ["".join(map(chr, rng.choices(range(128), k=rng.randrange(30)))) for _ in range(70)]
-    expected = np.stack([HashingNgramProvider().embed(t) for t in texts])
+    expected = np.stack([embed_by_crc32(t) for t in texts])
     hashed = _counting_crc32(monkeypatch)
-    got = HashingNgramProvider().embed_many(texts)
+    sem = HashingNgramProvider()
+    assert np.array_equal(sem.embed_many(texts), expected)
+    assert np.array_equal(np.stack([sem.embed(t) for t in texts]), expected)
     assert hashed == []
-    assert np.array_equal(got, expected)
 
 
-def test_embed_many_runs_crc32_only_for_the_grams_of_non_ascii_texts(monkeypatch):
+def test_crc32_runs_only_for_the_grams_of_non_ascii_texts(monkeypatch):
     texts = _texts(3 * EMBED_CHUNK + 5, seed=3) + ["\u212aelvin", "\u212a"]
-    expected = np.stack([HashingNgramProvider().embed(t) for t in texts])
+    expected = np.stack([embed_by_crc32(t) for t in texts])
     hashed = _counting_crc32(monkeypatch)
-    got = HashingNgramProvider().embed_many(texts)
+    sem = HashingNgramProvider()
     # KELVIN SIGN lowercases to an ASCII "k", so its texts need no crc32 call
     other = [t for t in texts if not f"^{t.lower()}$".isascii()]
     assert "\u212a" not in "".join(other)
     assert 0 < len(other) < len(texts)
-    assert sorted(hashed) == sorted(gram for t in other for gram in _padded_grams(t))
-    assert np.array_equal(got, expected)
+    grams = sorted(gram for t in other for gram in _padded_grams(t))
+    assert np.array_equal(sem.embed_many(texts), expected)
+    assert sorted(hashed) == grams
+    hashed.clear()
+    assert np.array_equal(np.stack([sem.embed(t) for t in texts]), expected)
+    assert sorted(hashed) == grams
 
 
-def test_crc_tables_give_crc32_of_every_ascii_2_gram_and_sampled_3_grams():
+def test_bucket_tables_give_crc32_buckets_of_every_ascii_2_gram_and_sampled_3_grams():
     pairs = np.array(list(itertools.product(range(128), repeat=2)), dtype=np.uint8)
     rng = random.Random(5)
     special = [0, ord("^"), ord("$")]
     triples = [tuple(rng.choice(special + [rng.randrange(128)]) for _ in range(3)) for _ in range(2000)]
     triples += list(itertools.product(special, repeat=3))
     triples += [tuple(rng.randrange(128) for _ in range(3)) for _ in range(20000)]
-    for n, grams in ((2, pairs), (3, np.array(triples, dtype=np.uint8))):
-        # a gram starts at every n-th position of the concatenated grams
-        got = semantic._gram_crcs(grams.ravel(), n)[::n]
-        assert got.dtype == np.uint32
-        expected = [zlib.crc32(gram.tobytes()) for gram in grams]
-        assert got.tolist() == expected
-        assert (got % EMBED_DIM).tolist() == [crc % EMBED_DIM for crc in expected]
+    triples = np.array(triples, dtype=np.uint8)
+    for grams in (pairs, triples):
+        head = grams[:, 0].astype(np.intp) * 128 + grams[:, 1]
+        got = semantic._PAIR2[head] if grams.shape[1] == 2 else semantic._PAIR3[head] ^ semantic._LAST3[grams[:, 2]]
+        assert got.dtype == np.uint8
+        assert got.tolist() == [zlib.crc32(gram.tobytes()) % EMBED_DIM for gram in grams]
 
 
 def test_hashing_similarities_equal_per_pair_bit_for_bit():
