@@ -329,9 +329,10 @@ class MockBackend:
         )
 
     def _lookup(self, req: ChatRequest) -> tuple[str, list[str]]:
-        fp = fingerprint(req.messages)
-        if fp in self.script:
-            return fp, self.script[fp]
+        if self.script:
+            fp = fingerprint(req.messages)
+            if fp in self.script:
+                return fp, self.script[fp]
         text = "\n".join(content for _role, content in req.messages)
         rules = self.rules
         best = self._unanchored
@@ -355,7 +356,7 @@ class MockBackend:
             return "rule:" + "|".join(escaped), completions
         if self.default is not None and not self.strict:
             return "default", [self.default]
-        raise UnknownPrompt(f"no script for prompt fingerprint {fp}")
+        raise UnknownPrompt(f"no script for prompt fingerprint {fingerprint(req.messages)}")
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         with self._lock:

@@ -211,9 +211,11 @@ def rank(
     Scores equal tls(target, (ex.question, ex.right_formula)), computed
     in one batch by ``similarity.scores`` over the corpus's retrieval index,
     which a ``Corpus`` keeps across calls; ties break on ascending
-    example id so the order is reproducible. The raw scores are sorted,
-    so the order is exact given the same embeddings and the same BLAS
-    build; another build may sum a float embedding's dot product in
+    example id so the order is reproducible. The raw scores are sorted.
+    The offline provider's dot products are exact integers whatever
+    order BLAS sums in (float32 while both squared norms are below
+    2**24, float64 past that), so its order is the same on any build;
+    another BLAS build may sum a float embedding's dot product in
     another order and break a near tie the other way. Given ``k``, only
     the first ``k`` of that order are returned: the logic term is
     computed only for entries whose upper bound can reach the k-th best

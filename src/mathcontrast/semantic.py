@@ -29,6 +29,9 @@ EMBED_CHUNK = 32
 EMBED_CACHE_LIMIT = 1 << 13
 # texts per POST of RemoteEmbeddingProvider.embed_many
 EMBED_BATCH = 64
+# a count vector whose norm is below this has a squared norm below 2**24,
+# under which float32 holds every integer exactly
+EXACT_NORM = 4096.0
 
 
 def _bucket_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -67,7 +70,7 @@ _PAIR2, _PAIR3, _LAST3 = _bucket_tables()
 
 
 def _count_grams(texts: Sequence[str]) -> np.ndarray:
-    """The offline embeddings of ``texts`` as the rows of a float64
+    """The offline embeddings of ``texts`` as the rows of a float32
     (n, EMBED_DIM) matrix: for each text, lowercased and padded with the
     sentinels ``^`` and ``$``, the count of its 2- and 3-grams in each
     crc32 % EMBED_DIM bucket.
@@ -77,7 +80,7 @@ def _count_grams(texts: Sequence[str]) -> np.ndarray:
     every position of the chunk at once; any other text calls crc32 on
     the UTF-8 bytes of each of its grams.
     """
-    out = np.zeros((len(texts), EMBED_DIM))
+    out = np.zeros((len(texts), EMBED_DIM), dtype=np.float32)
     for start in range(0, len(texts), EMBED_CHUNK):
         block = out[start : start + EMBED_CHUNK]
         rows = []
@@ -121,15 +124,16 @@ class _CosineProvider:
     ``similarity`` caches each text's vector with its norm, for up to
     ``EMBED_CACHE_LIMIT`` texts; a full cache is cleared. ``similarities``
     caches one corpus per provider: the embedding matrix of its texts,
-    the row norms, each text's first row, and each row's first row with
-    the same text, keyed by the texts tuple. Corpus vectors live only in
-    that matrix.
+    the row norms, each text's first row, each row's first row with the
+    same text, and the rows whose norm reaches ``EXACT_NORM``, keyed by
+    the texts tuple. Corpus vectors live only in that matrix.
     """
 
     def __init__(self):
         self._cache: dict[str, tuple[np.ndarray, float]] = {}
         self._corpus: (
-            tuple[tuple[str, ...], np.ndarray, np.ndarray, dict[str, int], np.ndarray] | None
+            tuple[tuple[str, ...], np.ndarray, np.ndarray, dict[str, int], np.ndarray, np.ndarray]
+            | None
         ) = None
         self._lock = threading.Lock()
 
@@ -158,17 +162,23 @@ class _CosineProvider:
 
     def _corpus_matrix(
         self, texts: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, int], np.ndarray, np.ndarray]:
         key = tuple(texts)
         with self._lock:
             entry = self._corpus
         if entry is None or entry[0] != key:
             matrix = self.embed_many(key)
-            # row norms without an n x d temporary
-            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+            # squared row norms without an n x d temporary, in the matrix's
+            # dtype; float32 sums counts exactly below 2**24, and the rows
+            # that reach it are summed again in float64
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix).astype(np.float64))
+            big = np.flatnonzero(norms >= EXACT_NORM)
+            if matrix.dtype == np.float32 and big.size:
+                wide = matrix[big].astype(np.float64)
+                norms[big] = np.sqrt(np.einsum("ij,ij->i", wide, wide))
             rows: dict[str, int] = {}
             first = np.array([rows.setdefault(text, i) for i, text in enumerate(key)], dtype=np.intp)
-            entry = (key, matrix, norms, rows, first)
+            entry = (key, matrix, norms, rows, first, big)
             with self._lock:
                 self._corpus = entry
         return entry[1:]
@@ -186,16 +196,22 @@ class _CosineProvider:
         With integer embeddings, such as the hashing provider's counts,
         every dot product and squared norm is an exact integer whatever
         order BLAS sums in, so each value equals ``similarity``'s bit for
-        bit. With float embeddings, such as a remote provider's, the two
-        may differ in the last bit, except at the texts equal to ``a``,
-        which both score 1.0.
+        bit. The hashing provider's matrix is float32, and so is its
+        product when the query's and the row's norms are below
+        ``EXACT_NORM``: counts are never negative, so every partial sum
+        is at most the dot product, which Cauchy-Schwarz bounds by the
+        larger squared norm, below 2**24. Any other row's product, or
+        every row's for a larger query, is taken in float64. With float
+        embeddings, such as a remote provider's, the matrix is float64
+        and the two may differ in the last bit, except at the texts equal
+        to ``a``, which both score 1.0.
 
         When ``a`` is one of ``texts`` its vector is read from the corpus
         matrix, so scoring a corpus against itself embeds nothing more.
         """
         if not texts:
             return np.zeros(0)
-        matrix, norms, rows, first = self._corpus_matrix(texts)
+        matrix, norms, rows, first, big = self._corpus_matrix(texts)
         row = rows.get(a)
         u, nu = self._embed_cached(a) if row is None else (matrix[row], norms[row])
         if matrix.shape[1:] != u.shape:
@@ -204,7 +220,13 @@ class _CosineProvider:
             )
         if nu == 0.0 or not norms.all():
             raise ZeroVector("cosine similarity is undefined for a zero vector")
-        out = (matrix @ u) / (nu * norms)
+        if matrix.dtype == np.float32 and nu < EXACT_NORM:
+            dots = (matrix @ u.astype(np.float32)).astype(np.float64)
+            if big.size:
+                dots[big] = matrix[big] @ u.astype(np.float64)
+        else:
+            dots = matrix @ u.astype(np.float64)
+        out = dots / (nu * norms)
         if row is not None:
             # the texts equal to ``a`` are the rows whose first row is a's
             out[first == row] = 1.0

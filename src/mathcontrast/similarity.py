@@ -165,34 +165,38 @@ def char_counts(strings: Sequence[str]) -> np.ndarray:
     return counts
 
 
-def levenshtein_lower_bound(s: str, counts: np.ndarray) -> np.ndarray:
-    """A lower bound on ``levenshtein(s, t)`` for each string ``t``
-    counted in ``counts`` (see ``char_counts``): the larger of their
-    length difference and half the L1 distance of their character
-    counts, rounded up. One edit changes the length by at most 1 and
-    that L1 distance by at most 2, whatever the characters (Kahveci and
-    Singh's frequency distance, VLDB 2001)."""
-    own = np.array([s.count(ch) for ch in COUNTED], dtype=np.int32)
-    l1 = np.abs(counts[1:] - own[:, None]).sum(axis=0)
-    return np.maximum(np.abs(counts[0] - len(s)), (l1 + 1) >> 1)
+def levenshtein_lower_bound(own: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A lower bound on ``levenshtein(s, t)`` for each string ``s``
+    counted in ``own`` and each ``t`` counted in ``counts`` (both from
+    ``char_counts``), one row per ``s``: the larger of their length
+    difference and half the L1 distance of their character counts,
+    rounded up. One edit changes the length by at most 1 and that L1
+    distance by at most 2, whatever the characters (Kahveci and Singh's
+    frequency distance, VLDB 2001)."""
+    l1 = np.abs(counts[1:, None] - own[1:, :, None])
+    # int32 sums: an L1 distance is at most the two lengths together
+    l1 = l1.sum(axis=0, dtype=np.int32)
+    return np.maximum(np.abs(counts[0] - own[0][:, None]), (l1 + 1) >> 1)
 
 
-def lower_distance(s: str, counts: np.ndarray) -> np.ndarray:
-    """A lower bound on ``norm_distance(s, t)`` for each string ``t``
-    counted in ``counts``, 0 for two empty strings as there."""
-    return 2 * levenshtein_lower_bound(s, counts) / np.maximum(counts[0] + len(s), 1)
+def lower_distance(own: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """A lower bound on ``norm_distance(s, t)`` for each ``s`` counted
+    in ``own`` (a row each) and ``t`` in ``counts``, 0 for two empty
+    strings as there."""
+    return 2 * levenshtein_lower_bound(own, counts) / np.maximum(counts[0] + own[0][:, None], 1)
 
 
 class FormulaTable:
     """The formulas of a corpus, split once, for the logic similarity of
     one target against all of them as arrays.
 
-    ``gather`` maps each entry to its distinct text in ``texts``. A
-    distinct formula with a top-level operator has the ids of its left
-    and right branches in one list of distinct ``branches``. ``memo``
-    holds the norm_distance of every pair of strings compared through
-    the table, for all targets scored against it; it is cleared when it
-    reaches ``BRANCH_MEMO_LIMIT`` entries.
+    ``gather`` maps each entry to its distinct text in ``texts``. The
+    distinct branches of the texts with a top-level operator form one
+    list, ``branches``; ``left`` and ``right`` hold each text's branch
+    ids, -1 for a text without one. ``memo`` holds the norm_distance of
+    every pair of strings compared through the table, for all targets
+    scored against it; it is cleared when it reaches
+    ``BRANCH_MEMO_LIMIT`` entries.
     """
 
     def __init__(self, formulas: Sequence[AlignedFormula | str]):
@@ -211,27 +215,23 @@ class FormulaTable:
         self.degenerate = "" in distinct
         self.memo: dict[tuple[str, str], float] = {}
         branches: dict[str, int] = {}
-        # the formulas with a top-level operator and the ids of their branches
-        paired, left, right = [], [], []
+        self.left = np.full(len(splits), -1, dtype=np.intp)
+        self.right = np.full(len(splits), -1, dtype=np.intp)
         for at, split in enumerate(splits):
             if split is not None and split.operator is not None:
-                paired.append(at)
-                left.append(branches.setdefault(split.left, len(branches)))
-                right.append(branches.setdefault(split.right, len(branches)))
+                self.left[at] = branches.setdefault(split.left, len(branches))
+                self.right[at] = branches.setdefault(split.right, len(branches))
         self.branches = list(branches)
-        self.paired = np.array(paired, dtype=np.intp)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        # char_counts of texts and branches, built by the first bound call
-        self._counts: tuple[np.ndarray, np.ndarray] | None = None
+        # char_counts of texts + branches, built by the first bounded query
+        self._counts: np.ndarray | None = None
 
-    def _row(self, s: str, strings: list[str], mask: np.ndarray) -> np.ndarray:
-        """norm_distance(s, strings[i]) at each i where ``mask`` is set,
-        0 elsewhere."""
-        ids = np.flatnonzero(mask).tolist()
-        row = np.zeros(len(strings))
-        row[ids] = [_memo_distance(self.memo, s, strings[i]) for i in ids]
-        return row
+    def counts(self) -> np.ndarray:
+        """``char_counts(texts + branches)``, built on the first call."""
+        counts = self._counts
+        if counts is None:
+            # one assignment, so threads sharing the table see all of it or none
+            counts = self._counts = char_counts(self.texts + self.branches)
+        return counts
 
     def check(self, formula: AlignedFormula | str) -> str:
         """The text of ``formula``; DegenerateInput when it or an entry
@@ -243,62 +243,97 @@ class FormulaTable:
 
     def logic(self, formula: AlignedFormula | str, rows=None) -> np.ndarray:
         """``logic_similarity(formula, f)`` for the formula ``f`` of each
+        entry, or of each entry at the indices ``rows`` (see
+        ``Target.logic``)."""
+        return Target(self, formula).logic(rows)
+
+
+class Target:
+    """One target formula against a ``FormulaTable``: split once, and
+    each of its strings compared with each distinct text or branch at
+    most once, into distance arrays of its own (NaN until compared), so
+    threads may score targets against one table at once.
+    """
+
+    def __init__(self, table: FormulaTable, formula: AlignedFormula | str):
+        self.table = table
+        self.text = table.check(formula)
+        # only an empty table lets an empty target through
+        self.split = split_balanced(self.text) if self.text else SplitResult(None, "", "")
+        self.whole = np.full(len(table.texts), np.nan)
+        self.lefts = np.full(len(table.branches), np.nan)
+        # two equal branches, as in @+@, share their distances
+        same = self.split.left == self.split.right
+        self.rights = self.lefts if same else np.full(len(table.branches), np.nan)
+
+    def logic(self, rows=None) -> np.ndarray:
+        """``logic_similarity(target, f)`` for the formula ``f`` of each
         entry, or of each entry at the indices ``rows``, by the same IEEE
         operations as ``logic_similarity`` on each element.
 
-        Only the distinct texts and branches those entries gather to are
-        compared.
+        Only the distinct texts and branches those entries gather to,
+        and that this target has not compared yet, are compared.
         """
-        return self._similarity(formula, rows, self.texts, self.branches, self._row)
+        table, split = self.table, self.split
+        # for every entry, each distinct text once, then the gather
+        at = np.arange(len(table.texts)) if rows is None else table.gather[rows]
+        if split.operator is None:
+            self._fill(self.whole, self.text, table.texts, at)
+        else:
+            left, right = table.left[at], table.right[at]
+            paired = left >= 0
+            self._fill(self.whole, self.text, table.texts, at[~paired])
+            left, right = left[paired], right[paired]
+            if split.operator in _COMMUTATIVE:
+                left = right = np.concatenate((left, right))
+            self._fill(self.lefts, split.left, table.branches, left)
+            self._fill(self.rights, split.right, table.branches, right)
+        logic = self._similarity(at, self.whole, self.lefts, self.rights)
+        return logic[table.gather] if rows is None else logic
 
-    def bound(self, formula: AlignedFormula | str, rows=None) -> np.ndarray:
-        """An upper bound on ``logic(formula, rows)``, elementwise, that
-        compares no formula: the same operations with ``lower_distance``
-        in place of ``norm_distance``.
+    def bound(self, rows=None) -> np.ndarray:
+        """An upper bound on ``logic(rows)``, elementwise, that compares
+        no formula: the same operations with ``lower_distance`` in place
+        of ``norm_distance``, for the target and its two branches against
+        every text and branch in one broadcast over ``table.counts()``.
 
         Each lower distance is a correctly rounded quotient of integers
         with the denominator of the ``norm_distance`` it stands for and
         a numerator no larger, and every later step (a sum, a minimum,
         ``1 - min(d, 2) / 2``) is monotone under IEEE rounding, so no
-        element falls below the exact one. The count rows of the texts
-        and branches are built on the first call.
+        element falls below the exact one.
         """
-        counts = self._counts
-        if counts is None:
-            # one assignment, so threads sharing the table see both rows or neither
-            counts = self._counts = (char_counts(self.texts), char_counts(self.branches))
-        return self._similarity(formula, rows, *counts, lambda s, c, _: lower_distance(s, c))
+        table, split = self.table, self.split
+        at = table.gather if rows is None else table.gather[rows]
+        own = char_counts([self.text, split.left, split.right])
+        low = lower_distance(own, table.counts())
+        n = len(table.texts)
+        return self._similarity(np.arange(n), low[0, :n], low[1, n:], low[2, n:])[at]
 
-    def _similarity(self, formula, rows, texts, branches, row) -> np.ndarray:
-        """The logic similarity of ``formula`` to each entry (at
-        ``rows``), given ``row(s, strings, mask)``: the distance from
-        ``s`` to each of ``strings`` (``texts`` or ``branches``), needed
-        where ``mask`` is set."""
-        if not len(self.gather):
-            return np.zeros(0)
-        text = self.check(formula)
-        split = split_balanced(text)
-        at = self.gather if rows is None else self.gather[rows]
-        need = np.zeros(len(self.texts), dtype=bool)
-        need[at] = True
-        if split.operator is not None:
-            wanted = need[self.paired]
-            left, right, paired = self.left[wanted], self.right[wanted], self.paired[wanted]
-            need[self.paired] = False
-        distance = 2 * row(text, texts, need)
-        if split.operator is not None:
-            commutative = split.operator in _COMMUTATIVE
-            lefts = np.zeros(len(self.branches), dtype=bool)
-            rights = np.zeros(len(self.branches), dtype=bool)
-            lefts[left] = rights[right] = True
-            if commutative:
-                lefts = rights = lefts | rights
-            dl, dr = row(split.left, branches, lefts), row(split.right, branches, rights)
-            pairs = dl[left] + dr[right]
-            if commutative:
-                pairs = np.minimum(pairs, dl[right] + dr[left])
+    def _fill(self, distance: np.ndarray, s: str, strings: list[str], ids: np.ndarray) -> None:
+        """Set ``distance[i]`` to norm_distance(s, strings[i]) at each of
+        ``ids`` not compared yet, each once, in ascending order."""
+        need = np.zeros(len(distance), dtype=bool)
+        need[ids] = True
+        ids = np.flatnonzero(need & np.isnan(distance)).tolist()
+        if ids:
+            memo = self.table.memo
+            distance[ids] = [_memo_distance(memo, s, strings[i]) for i in ids]
+
+    def _similarity(self, at, whole, lefts, rights) -> np.ndarray:
+        """The logic similarity of the target to the texts ``at``, given
+        its distance to each text (``whole``) and from its left and right
+        branch to each branch (``lefts``, ``rights``)."""
+        left, right = self.table.left[at], self.table.right[at]
+        distance = 2 * whole[at]
+        if self.split.operator is not None:
+            paired = left >= 0
+            left, right = left[paired], right[paired]
+            pairs = lefts[left] + rights[right]
+            if self.split.operator in _COMMUTATIVE:
+                pairs = np.minimum(pairs, lefts[right] + rights[left])
             distance[paired] = pairs
-        return (1.0 - np.minimum(distance, 2.0) / 2.0)[at]
+        return 1.0 - np.minimum(distance, 2.0) / 2.0
 
 
 def tls(
@@ -361,12 +396,14 @@ def scores(
 
     ``top`` (a count k) also skips every entry that cannot be among the
     k best or tie with the k-th: each remaining entry gets an upper
-    bound, ``alpha * table.bound(...) + (1 - alpha) * semantic``, and
+    bound, ``alpha * Target.bound(...) + (1 - alpha) * semantic``, and
     entries are scored exactly in descending bound order, in batches of
     k, 2k, 4k and so on (an entry tied with a batch's lowest bound joins
     it), until every bound left is strictly below the k-th best exact
     score so far. No entry left can reach that score, so the k best
-    scores and every tie with the k-th are exact.
+    scores and every tie with the k-th are exact. One ``Target`` serves
+    the whole loop, so the target is split once and no pair of strings
+    is compared twice in one call.
     """
     question, formula = target
     alpha = cfg.alpha
@@ -387,19 +424,22 @@ def scores(
         rows, semantic = rows[keep], semantic[keep]
     out = np.full(len(questions), -np.inf)
     if alpha > 0.0 and top is not None and top < len(rows):
-        bound = _combine(alpha, table.bound(formula, rows), semantic)
+        query = Target(table, formula)
+        bound = _combine(alpha, query.bound(rows), semantic)
         exact = np.full(len(rows), -np.inf)
         scored = np.zeros(len(rows), dtype=bool)
         size, kth = top, -np.inf
         while (live := np.flatnonzero(~scored & (bound >= kth))).size:
             if len(live) > size:  # the highest bounds left, ties at the cut included
                 live = live[bound[live] >= np.partition(bound[live], -size)[-size]]
-            exact[live] = _combine(alpha, table.logic(formula, rows[live]), semantic[live])
+            exact[live] = _combine(alpha, query.logic(rows[live]), semantic[live])
             scored[live] = True
             size *= 2
             kth = np.partition(exact[scored], -top)[-top]
         out[rows] = exact
     else:
-        logic = table.logic(formula, rows) if alpha > 0.0 else 0.0
+        # with no entry left (a dedup candidate that no kept entry's bound lets
+        # through, most of them at alpha 0.7), nothing is compared
+        logic = table.logic(formula, rows) if alpha > 0.0 and len(rows) else 0.0
         out[rows] = _combine(alpha, logic, semantic)
     return out

@@ -194,4 +194,4 @@ def embed_by_crc32(text: str) -> np.ndarray:
         for n in (2, 3)
         for i in range(len(padded) - n + 1)
     ]
-    return np.bincount(buckets, minlength=256).astype(np.float64)
+    return np.bincount(buckets, minlength=256).astype(np.float32)

@@ -368,19 +368,27 @@ def test_dedup_on_a_corpus_builds_one_index_that_a_later_rank_reuses(monkeypatch
 def test_dedup_builds_no_count_rows_that_only_bounded_top_k_reads(monkeypatch, alpha):
     built = []
     counts = similarity.char_counts
-    monkeypatch.setattr(similarity, "char_counts", lambda texts: built.append(1) or counts(texts))
+    monkeypatch.setattr(
+        similarity, "char_counts", lambda strings: built.append(list(strings)) or counts(strings)
+    )
     rng = random.Random(7)
     corpus = Corpus(
         _example(i, rng.choice(DEDUP_QUESTIONS), rng.choice(DEDUP_FORMULAS)) for i in range(30)
     )
     cfg, sem = SimilarityConfig(alpha=alpha, dedup_threshold=0.9), HashingNgramProvider()
     assert 1 < len(dedup(corpus, cfg, sem)) < len(corpus)
-    assert built == [] and corpus.index().table._counts is None
-    # a later top-k rank on the same corpus builds them, once
+    table = corpus.index().table
+    assert built == [] and table._counts is None
+    # a later top-k rank on the same corpus builds the one count array of
+    # its texts and branches; a second builds none
+    every = table.texts + table.branches
     target = (corpus[0].question, corpus[0].right_formula)
-    for _ in range(2):
-        rank(target, corpus, SimilarityConfig(alpha=0.7), sem, 3)
-    assert len(built) == 2 and corpus.index().table._counts is not None
+    rank(target, corpus, SimilarityConfig(alpha=0.7), sem, 3)
+    first = table._counts
+    assert built.count(every) == 1 and first is not None and first.shape[1] == len(every)
+    rank(target, corpus, SimilarityConfig(alpha=0.7), sem, 3)
+    assert built.count(every) == 1 and table._counts is first
+    assert corpus.index().table is table
 
 
 def test_dedup_computes_each_unordered_branch_pair_once(monkeypatch):

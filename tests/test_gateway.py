@@ -193,6 +193,32 @@ def test_mock_stateful_set_after_construction_consumes_the_script():
     assert got == [("a",), ("b",), ("a",)]
 
 
+def test_mock_fingerprints_a_request_only_for_a_script_or_an_error(monkeypatch):
+    hashed = []
+
+    def counting(messages):
+        hashed.append(messages)
+        return fingerprint(messages)
+
+    monkeypatch.setattr(gateway, "fingerprint", counting)
+    backend = MockBackend(rules=[("3 + 3", ["six"])], default="dunno")
+    assert backend.complete(ChatRequest(MSGS)).completions == ("six",)
+    assert backend.complete(ChatRequest((("user", "other"),))).completions == ("dunno",)
+    assert hashed == []
+    # an unknown prompt still names its fingerprint
+    strict = MockBackend(rules=[("3 + 3", ["six"])], strict=True)
+    other = (("user", "other"),)
+    with pytest.raises(UnknownPrompt, match=f"^no script for prompt fingerprint {fingerprint(other)}$"):
+        strict.complete(ChatRequest(other))
+    assert hashed == [other]
+    # a script with fingerprints looks each request up by it
+    hashed.clear()
+    scripted = MockBackend(script={fingerprint(MSGS): ["a"]}, rules=[("other", ["b"])])
+    assert scripted.complete(ChatRequest(MSGS)).completions == ("a",)
+    assert scripted.complete(ChatRequest(other)).completions == ("b",)
+    assert hashed == [MSGS, other]
+
+
 @st.composite
 def _rules_and_texts(draw):
     """Rules and message texts over a few short needles of three

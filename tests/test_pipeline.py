@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mathcontrast import _kernels, corpus as corpus_mod
+from mathcontrast import _kernels, corpus as corpus_mod, similarity
 from mathcontrast.corpus import Corpus, ReferenceExample
 from mathcontrast.errors import ExtractionError
 from mathcontrast.formula import Chain, align_variables, find_chains
@@ -440,6 +440,29 @@ def test_rank_top_k_compares_fewer_formulas_than_the_full_order(monkeypatch):
             rank(target, corpus, CFG, sem, k)
         counts[k] = len(calls)
     assert 0 < counts[7] < counts[None]
+
+
+def test_top_k_rank_splits_the_target_once_and_compares_each_pair_once(monkeypatch):
+    corpus = Corpus(_seeded_corpus(400, seed=12))
+    corpus.index()  # the corpus's own formulas are split before counting starts
+    targets = [(ex.question, ex.right_formula) for ex in corpus[:10]]
+    targets += [("apple total row", "@*(@+@)-@"), ("fish", "(@-@)/@;@+@"), ("fish", "@")]
+    split, distance = similarity.split_balanced, similarity._memo_distance
+    splits, pairs = [], []
+    monkeypatch.setattr(similarity, "split_balanced", lambda text: splits.append(text) or split(text))
+    monkeypatch.setattr(
+        similarity, "_memo_distance", lambda memo, a, b: pairs.append((a, b)) or distance(memo, a, b)
+    )
+    compared = 0
+    for question, formula in targets:
+        splits.clear()
+        pairs.clear()
+        rank((question, formula), corpus, CFG, HashingNgramProvider(), 7)
+        assert splits == [getattr(formula, "text", formula)]
+        # a pair of a target string (the formula or a branch) and a corpus text or branch
+        assert len(pairs) == len(set(pairs))
+        compared += len(pairs)
+    assert compared > 0
 
 
 def test_rank_on_an_edited_corpus_equals_brute_force():

@@ -98,7 +98,7 @@ def test_embed_many_equals_stacked_embed_exactly():
     texts = _texts(2 * EMBED_CHUNK + 7, seed=1)
     assert len(texts) > 2 * EMBED_CHUNK
     got = sem.embed_many(texts)
-    assert got.dtype == np.float64
+    assert got.dtype == np.float32
     assert np.array_equal(got, np.stack([sem.embed(t) for t in texts]))
     assert sem.embed("").sum() == 1  # the sentinels' one 2-gram
     assert sem.embed_many([]).shape == (0, EMBED_DIM)
@@ -119,7 +119,7 @@ def test_embed_and_embed_many_equal_the_crc32_loop_bit_for_bit(texts):
     sem = HashingNgramProvider()
     expected = [embed_by_crc32(t) for t in texts]
     got = sem.embed_many(texts)
-    assert got.dtype == np.float64 and got.shape == (len(texts), EMBED_DIM)
+    assert got.dtype == np.float32 and got.shape == (len(texts), EMBED_DIM)
     assert [row.tobytes() for row in got] == [row.tobytes() for row in expected]
     assert [sem.embed(t).tobytes() for t in texts] == [row.tobytes() for row in expected]
 
@@ -219,6 +219,77 @@ def test_hashing_similarities_score_every_copy_of_a_repeated_text_one():
         cosine[[t == a for t in texts]] = 1.0
         assert [v.hex() for v in got] == [v.hex() for v in cosine.tolist()]
         assert got.count(1.0) == texts.count(a)
+
+
+def _per_pair(sem, a, texts):
+    return np.array([sem.similarity(a, t) for t in texts]).tobytes()
+
+
+def test_hashing_similarities_equal_per_pair_on_both_sides_of_the_float32_guard():
+    # 'a' * n squares to about 2n^2: 2**24 - 9,371 at n = 2,897 and 2**24 + 2,213
+    # at 2,898. An offline count vector's squared norm is odd (2n + 1 grams, and
+    # c^2 has the parity of c), so none is exactly 2**24.
+    below, above = "a" * 2897, "a" * 2898
+    sem = HashingNgramProvider()
+    squared = {t: int((sem.embed(t).astype(np.int64) ** 2).sum()) for t in (below, above)}
+    assert squared == {below: 2**24 - 9371, above: 2**24 + 2213}
+    texts = _texts(10, seed=5) + [below, above, "a" * 2899 + "!", "b" * 3000, "a b" * 1000]
+    for a in [below, above, "a" * 2896 + "?", "a" * 2900, "How many apples does Ann have?"]:
+        sem = HashingNgramProvider()
+        assert sem.similarities(a, texts).tobytes() == _per_pair(sem, a, texts)
+    assert sem._corpus_matrix(texts)[0].dtype == np.float32
+
+
+class _Counts(_CosineProvider):
+    """Given integer count vectors, as float32 like the offline provider's."""
+
+    VECTORS = {
+        "below": [4095, 90, 9, 3],  # squared norm 2**24 - 1
+        "at": [4096, 0, 0, 0],  # 2**24
+        "over": [4097, 2, 0, 0],  # 2**24 + 8,197, odd: float32 cannot hold it
+        "small": [1, 2, 3, 4],
+    }
+
+    def embed(self, text):
+        return np.array(self.VECTORS[text], dtype=np.float32)
+
+    def embed_many(self, texts):
+        return np.array([self.VECTORS[t] for t in texts], dtype=np.float32).reshape(len(texts), 4)
+
+
+def test_count_similarities_take_float64_from_a_squared_norm_of_2_to_the_24():
+    # below . over = 16,777,395: odd and above 2**24, so a float32 product or a
+    # float32 squared norm of "over" would round
+    texts = ["small", "below", "at", "over", "below"]
+    for corpus in (texts, texts[:3]):
+        for a in ["below", "at", "over", "small"]:
+            sem = _Counts()
+            assert sem.similarities(a, corpus).tobytes() == _per_pair(sem, a, corpus)
+    matrix, norms, _, _, big = _Counts()._corpus_matrix(texts)
+    assert matrix.dtype == np.float32 and big.tolist() == [2, 3]
+    assert norms[3] == np.sqrt(4097.0**2 + 4)
+
+
+def test_float_embeddings_take_the_float64_product():
+    class Weighted(HashingNgramProvider):
+        WEIGHTS = np.random.default_rng(0).uniform(0.5, 1.5, EMBED_DIM)
+
+        def embed(self, text):
+            return super().embed(text) * self.WEIGHTS
+
+        def embed_many(self, texts):
+            return super().embed_many(texts) * self.WEIGHTS
+
+    texts = _texts(20, seed=6)
+    sem = Weighted()
+    matrix, norms = sem._corpus_matrix(texts)[:2]
+    assert matrix.dtype == np.float64
+    for a in ["zzz unseen", texts[3]]:
+        # a corpus text's vector and norm are read from the matrix
+        u, nu = (matrix[texts.index(a)], norms[texts.index(a)]) if a in texts else sem._embed_cached(a)
+        expected = (matrix @ u) / (nu * norms)
+        expected[[t == a for t in texts]] = 1.0
+        assert sem.similarities(a, texts).tobytes() == expected.tobytes()
 
 
 class _FloatProvider(_CosineProvider):

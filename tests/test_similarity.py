@@ -12,6 +12,7 @@ from mathcontrast.semantic import HashingNgramProvider
 from mathcontrast.similarity import (
     FormulaTable,
     SimilarityConfig,
+    Target,
     char_counts,
     cosine,
     levenshtein,
@@ -434,10 +435,13 @@ def test_scores_with_a_bound_skip_only_entries_whose_bound_rules_them_out(monkey
     monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
     formulas = ["@+@", "@-@", "@*@", "(@)"]
     table = FormulaTable(formulas)
+    split, splits = similarity.split_balanced, []
+    monkeypatch.setattr(similarity, "split_balanced", lambda text: splits.append(text) or split(text))
     # semantic 0.5 bounds each score by alpha + 0.25 at alpha 0.5
     cfg, sem = SimilarityConfig(alpha=0.5), FixedSem(0.5)
     got = similarity.scores(("q", "@/@"), ["q"] * 4, table, cfg, sem, above=0.75)
-    assert got.tolist() == [-np.inf] * 4 and not compared
+    # with no entry left, the target is not even split
+    assert got.tolist() == [-np.inf] * 4 and not compared and not splits
     got = similarity.scores(("q", "@/@"), ["q"] * 4, table, cfg, sem, rows=[1, 3], above=0.7)
     expected = [tls(("q", "@/@"), ("q", f), cfg, sem) for f in formulas]
     assert got.tolist() == [-np.inf, expected[1], -np.inf, expected[3]]
@@ -462,10 +466,14 @@ def test_scores_with_a_bound_skip_only_entries_whose_bound_rules_them_out(monkey
 @settings(max_examples=300)
 def test_levenshtein_lower_bound_never_exceeds_the_distance(a, others):
     # characters outside the counted ones change no count, so the bound still holds
-    bounds = levenshtein_lower_bound(a, char_counts(others)).tolist()
-    for bound, b in zip(bounds, others):
-        assert bound <= _kernels.levenshtein_codes(a, b)
-    assert levenshtein_lower_bound(a, char_counts([a])).tolist() == [0]
+    # one row per string of the first argument, as a target and its branches
+    strings = [a] + others[:2]
+    bounds = levenshtein_lower_bound(char_counts(strings), char_counts(others)).tolist()
+    assert len(bounds) == len(strings)
+    for s, row in zip(strings, bounds):
+        for bound, b in zip(row, others):
+            assert bound <= _kernels.levenshtein_codes(s, b)
+    assert levenshtein_lower_bound(char_counts([a]), char_counts([a])).tolist() == [[0]]
 
 
 @given(
@@ -479,7 +487,7 @@ def test_formula_table_bound_is_never_below_logic(formulas, targets, picked):
     rows = sorted({i for i in picked if i < len(formulas)})
     for target in targets:
         for at in (None, rows):
-            bound, logic = table.bound(target, at), table.logic(target, at)
+            bound, logic = Target(table, target).bound(at), table.logic(target, at)
             assert bound.shape == logic.shape
             assert (bound >= logic).all()
             assert (bound <= 1.0).all()
