@@ -5,14 +5,14 @@ One grammar covers formula text:
     Expr    := Operand (('+' | '-' | '*' | '/') Operand)*
     Operand := Number | Identifier | '@' | '(' Expr ')' | '-' Operand
 
-over text that may carry currency symbols and thousands separators
-(stripped while tokenizing). Precedence does not change which strings
-are formulas, so one pass over the tokens, alternating between
-expecting an operand and expecting an operator and counting open
-parentheses, checks a formula at any depth without building a tree.
-Alignment replaces every number and identifier with the placeholder '@'
-in that pass, so only operator structure remains, and an aligned
-formula splits at its most balanced top-level operator. The chain
+over text that may carry currency symbols and thousands separators,
+which alignment ignores. Alignment replaces every number and
+identifier with the placeholder '@', so only operator structure
+remains. Precedence does not change which strings are formulas, so one
+pass over the aligned characters, alternating between expecting an
+operand and expecting an operator and counting open parentheses, checks
+a formula at any depth without building a tree. An aligned formula
+splits at its most balanced top-level operator. The chain
 scanner, which finds formulas in prose, stops at MAX_NESTING levels of
 parentheses and unary minus.
 """
@@ -20,6 +20,7 @@ parentheses and unary minus.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 
 from .errors import DegenerateInput, MergeError, ParseError
@@ -90,50 +91,42 @@ def split_balanced(a: AlignedFormula | str) -> SplitResult:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexicon
 # ---------------------------------------------------------------------------
 
+# The operands that alignment rewrites, in one pattern: a number, whose
+# digits are those ``float`` reads (``\d`` is ``str.isdecimal``), with at
+# most one '.' and a ',' between digits as a thousands separator; or an
+# identifier (``\w`` is ``str.isalnum`` or '_').
+_OPERAND = re.compile(r"\d+(?:,\d+)*(?:\.\d+(?:,\d+)*)?|\.\d+(?:,\d+)*|[^\W\d]\w*")
+# the other tokens are single characters, which alignment keeps
+_CHAR_KINDS = {"@": "at", "+": "op", "-": "op", "*": "op", "/": "op", "(": "lparen", ")": "rparen"}
+_OPERAND_KINDS = {"number", "ident", "at"}
+# skipped between tokens, as is every character that str.isspace admits
 _SKIP_CHARS = {"$", "\\"}
+# the skipped characters of ASCII text
+_DROP_ASCII_SKIPS = str.maketrans(
+    "", "", "".join(c for c in map(chr, range(128)) if c.isspace() or c in _SKIP_CHARS)
+)
 
 
 def _read_token(s: str, i: int) -> tuple[str, str, int] | None:
     """Read one token at index ``i``; None when s[i] starts no token.
 
-    A number's digits are those ``float`` reads (``str.isdecimal``), so
-    a superscript or another digit-like character starts no number.
+    A number's text drops its thousands separators.
     """
     ch = s[i]
-    if ch.isdecimal() or (ch == "." and i + 1 < len(s) and s[i + 1].isdecimal()):
-        j = i
-        seen_dot = False
-        text = []
-        while j < len(s):
-            c = s[j]
-            if c.isdecimal():
-                text.append(c)
-            elif c == "." and not seen_dot and j + 1 < len(s) and s[j + 1].isdecimal():
-                seen_dot = True
-                text.append(c)
-            elif c == "," and j + 1 < len(s) and s[j + 1].isdecimal() and j > i:
-                pass  # thousands separator inside a number
-            else:
-                break
-            j += 1
-        return "number", "".join(text), j
+    kind = _CHAR_KINDS.get(ch)
+    if kind is not None:
+        return kind, ch, i + 1
+    m = _OPERAND.match(s, i)
+    if m is None:
+        return None
+    if ch.isdecimal() or ch == ".":
+        return "number", m[0].replace(",", ""), m.end()
     if ch.isalpha() or ch == "_":
-        j = i
-        while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-            j += 1
-        return "ident", s[i:j], j
-    if ch == "@":
-        return "at", "@", i + 1
-    if ch in "+-*/":
-        return "op", ch, i + 1
-    if ch == "(":
-        return "lparen", ch, i + 1
-    if ch == ")":
-        return "rparen", ch, i + 1
-    return None
+        return "ident", m[0], m.end()
+    return None  # a numeric character such as '½' is \w but starts no identifier
 
 
 def _tokenize(s: str) -> list[tuple[str, str, int]]:
@@ -157,67 +150,98 @@ def _tokenize(s: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 
 
-_OPERAND_KINDS = {"number", "ident", "at"}
+def _walk(chars: str) -> tuple[int, bool, int, int]:
+    """Check aligned characters against the grammar in one pass.
 
-
-def _align_part(part: str) -> tuple[str, int]:
-    """Align one ';'-free part: its text with '@' per operand, and the
-    operand count.
-
-    One pass over the tokens that expects an operand or an operator and
-    counts open parentheses; text outside the grammar raises
-    ``ParseError`` at the first token that does not fit, or at the end.
+    The pass expects an operand ('@') or an operator and counts open
+    parentheses; a ';' outside them ends a part and starts the next.
+    Returns where it stopped (the first character that does not fit, or
+    ``len(chars)``), whether it expected an operand there, how many
+    parentheses were open, and how many operands it read. The text fits
+    when the pass reaches the end expecting an operator, at depth 0.
     """
-    tokens = _tokenize(part)
-    if not tokens:
-        raise ParseError("empty expression", 0)
-    out = []
-    count = depth = 0
     want_operand = True
-    for kind, text, pos in tokens:
+    depth = count = 0
+    for i, ch in enumerate(chars):
         if want_operand:
-            if kind in _OPERAND_KINDS:
-                out.append("@")
+            if ch == "@":
                 count += 1
                 want_operand = False
-            elif kind == "lparen":
-                out.append(text)
+            elif ch == "(":
                 depth += 1
-            elif text == "-":
-                out.append(text)
-            else:
-                raise ParseError(f"unexpected token {text!r}", pos)
-        elif kind == "op":
-            out.append(text)
+            elif ch != "-":
+                return i, True, depth, count
+        elif ch in "+-*/":
             want_operand = True
-        elif kind == "rparen" and depth:
-            out.append(text)
+        elif ch == ")" and depth:
             depth -= 1
-        elif depth:
-            raise ParseError("expected ')'", pos)
+        elif ch != ";" or depth:
+            return i, False, depth, count
         else:
-            raise ParseError(f"unexpected trailing token {text!r}", pos)
+            want_operand = True
+    return len(chars), want_operand, depth, count
+
+
+def _token_chars(tokens: list[tuple[str, str, int]]) -> str:
+    return "".join("@" if kind in _OPERAND_KINDS else text for kind, text, _pos in tokens)
+
+
+def _part_chars(part: str) -> str:
+    """A ';'-free part's aligned characters, read token by token; '?',
+    which no walk accepts, when a character in it starts no token."""
+    try:
+        return _token_chars(_tokenize(part))
+    except ParseError:
+        return "?"
+
+
+def _part_error(part: str) -> ParseError:
+    """The error of a ';'-free part that the walk rejects: its first
+    character that starts no token, else the token where the walk stops
+    or the end of the part."""
+    tokens = _tokenize(part)
+    if not tokens:
+        return ParseError("empty expression", 0)
+    stop, want_operand, depth, _count = _walk(_token_chars(tokens))
+    if stop == len(tokens):
+        if want_operand:
+            return ParseError("expected operand, found end of input", len(part))
+        return ParseError("expected ')'", len(part))
+    _kind, text, pos = tokens[stop]
     if want_operand:
-        raise ParseError("expected operand, found end of input", len(part))
+        return ParseError(f"unexpected token {text!r}", pos)
     if depth:
-        raise ParseError("expected ')'", len(part))
-    return "".join(out), count
+        return ParseError("expected ')'", pos)
+    return ParseError(f"unexpected trailing token {text!r}", pos)
+
+
+def _align(raw: str) -> tuple[str, int]:
+    """``align_variables`` without its AlignedFormula: the aligned text
+    and its operand count."""
+    if raw.isascii():
+        chars = _OPERAND.sub("@", raw).translate(_DROP_ASCII_SKIPS)
+    else:
+        chars = ";".join(_part_chars(part) for part in raw.split(";"))
+    stop, want_operand, depth, count = _walk(chars)
+    if stop < len(chars) or want_operand or depth:
+        raise _part_error(raw.split(";")[chars.count(";", 0, stop)])
+    return chars, count
 
 
 def align_variables(raw: str) -> AlignedFormula:
     """Replace every number and identifier with '@', keeping structure.
 
-    The text is validated as it aligns, with input parentheses preserved
-    verbatim. Text with ';' separators is aligned piecewise, so merged
-    formulas realign to themselves.
+    ASCII text is aligned by one substitution that writes '@' per
+    operand, after which its skipped characters are dropped. Other text
+    is read token by token: past ASCII, the pattern's identifier start
+    admits numeric characters such as '½', and more characters are
+    whitespace. Then one walk checks the aligned characters, with input
+    parentheses preserved verbatim. Text with ';' separators is aligned
+    piecewise, so merged formulas realign to themselves. Text outside
+    the grammar raises the ``ParseError`` of its first failing part,
+    positioned within that part.
     """
-    texts = []
-    count = 0
-    for part in raw.split(";"):
-        text, n = _align_part(part)
-        texts.append(text)
-        count += n
-    return AlignedFormula(";".join(texts), count, raw)
+    return AlignedFormula(*_align(raw), raw)
 
 
 def merge_steps(steps: list[str]) -> AlignedFormula:
@@ -324,21 +348,28 @@ def _has_operator(segment: str) -> bool:
     if not any(op in segment for op in "+-*/"):
         return False
     try:
-        return _align_part(segment)[1] > 1
+        return _align(segment)[1] > 1
     except ParseError:
         return False
 
 
 def _stated_result(segment: str) -> float | None:
     """The value of a segment that is a bare number, parentheses
-    allowed; None for any other segment."""
+    allowed; None for any other segment. Alignment keeps every operator
+    character, so a segment with one is not aligned."""
+    if any(op in segment for op in "+-*/"):
+        return None
     try:
-        text, _count = _align_part(segment)
+        text = _align(segment)[0]
     except ParseError:
         return None
     if text.strip("()") != "@":
         return None
-    kind, number, _ = next(tok for tok in _tokenize(segment) if tok[0] != "lparen")
+    # only parentheses and skipped characters come before the operand
+    operand = _OPERAND.search(segment)
+    if operand is None:  # the placeholder '@'
+        return None
+    kind, number, _ = _read_token(segment, operand.start())
     return float(number) if kind == "number" else None
 
 

@@ -3,12 +3,13 @@
 These deliberately avoid the package's bottom-up DP kernels: the edit
 distance here is the textbook top-down recursion on string suffixes.
 The dedup reference is the greedy scan of per-pair ``tls`` calls. The
-formula references parse each formula into a tree first, by recursive
-descent over the precedence grammar, where the library makes one flat
-pass over the tokens. The mock-script reference tries every substring
-rule in order, where the mock backend looks up its anchor index. The
-embedding reference calls crc32 once per n-gram, where the offline
-provider looks buckets up in byte tables.
+formula references read tokens one character at a time and parse each
+formula into a tree, by recursive descent over the precedence grammar,
+where the library writes '@' per operand by pattern and makes one flat
+pass over the aligned characters. The mock-script reference tries
+every substring rule in order, where the mock backend looks up its
+anchor index. The embedding reference calls crc32 once per n-gram,
+where the offline provider looks buckets up in byte tables.
 """
 
 from __future__ import annotations
@@ -64,6 +65,68 @@ def greedy_dedup(examples, cfg, sem):
     return kept
 
 
+_SKIP_CHARS = {"$", "\\"}
+
+
+def read_token(s: str, i: int) -> tuple[str, str, int] | None:
+    """Read one token at index ``i``, one character at a time; None when
+    s[i] starts no token. A number's digits are those ``float`` reads
+    (``str.isdecimal``), with at most one '.', and a ',' followed by a
+    digit is a thousands separator that the token's text drops."""
+    ch = s[i]
+    if ch.isdecimal() or (ch == "." and i + 1 < len(s) and s[i + 1].isdecimal()):
+        j = i
+        seen_dot = False
+        text = []
+        while j < len(s):
+            c = s[j]
+            if c.isdecimal():
+                text.append(c)
+            elif c == "." and not seen_dot and j + 1 < len(s) and s[j + 1].isdecimal():
+                seen_dot = True
+                text.append(c)
+            elif c == "," and j + 1 < len(s) and s[j + 1].isdecimal() and j > i:
+                pass  # thousands separator inside a number
+            else:
+                break
+            j += 1
+        return "number", "".join(text), j
+    if ch.isalpha() or ch == "_":
+        j = i
+        while j < len(s) and (s[j].isalnum() or s[j] == "_"):
+            j += 1
+        return "ident", s[i:j], j
+    if ch == "@":
+        return "at", "@", i + 1
+    if ch in "+-*/":
+        return "op", ch, i + 1
+    if ch == "(":
+        return "lparen", ch, i + 1
+    if ch == ")":
+        return "rparen", ch, i + 1
+    return None
+
+
+def tokenize(s: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` per token, skipping whitespace, '$' and
+    '\\'; a character that starts no token raises ``ParseError``."""
+    from mathcontrast.errors import ParseError
+
+    tokens = []
+    i = 0
+    while i < len(s):
+        if s[i].isspace() or s[i] in _SKIP_CHARS:
+            i += 1
+            continue
+        tok = read_token(s, i)
+        if tok is None:
+            raise ParseError(f"unexpected character {s[i]!r}", i)
+        kind, text, j = tok
+        tokens.append((kind, text, i))
+        i = j
+    return tokens
+
+
 def parse_tree(raw: str):
     """Parse formula text by recursive descent into nested tuples:
     ``("number", text)``, ``("identifier", text)``, ``("neg", child)`` or
@@ -76,9 +139,8 @@ def parse_tree(raw: str):
     and text outside it raises the ``ParseError`` that alignment must
     raise, with the same message and position."""
     from mathcontrast.errors import ParseError
-    from mathcontrast.formula import _tokenize
 
-    tokens = _tokenize(raw)
+    tokens = tokenize(raw)
     pos = 0
 
     def peek():
@@ -133,14 +195,14 @@ def parse_tree(raw: str):
 def align_by_tree(raw: str):
     """``align_variables(raw)`` by parsing each ';'-part into a tree, then
     writing '@' for each number, identifier and placeholder token."""
-    from mathcontrast.formula import AlignedFormula, _tokenize
+    from mathcontrast.formula import AlignedFormula
 
     texts = []
     count = 0
     for part in raw.split(";"):
         parse_tree(part)
         out = []
-        for kind, text, _pos in _tokenize(part):
+        for kind, text, _pos in tokenize(part):
             if kind in ("number", "ident", "at"):
                 out.append("@")
                 count += 1

@@ -3,7 +3,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import align_by_tree, has_operator_by_tree, parse_tree, stated_result_by_tree
+from _oracles import (
+    align_by_tree,
+    has_operator_by_tree,
+    parse_tree,
+    read_token,
+    stated_result_by_tree,
+    tokenize,
+)
 from mathcontrast.errors import MergeError, ParseError
 from mathcontrast import formula, similarity
 from mathcontrast.formula import (
@@ -27,7 +34,7 @@ def _paren_balance(s: str) -> int:
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "   ", "(1+2", "1+", "*3", "1 ? 2", "()", "1+2)"]
+    "bad", ["", "   ", "(1+2", "1+", "*3", "1 ? 2", "()", "1+2)", "1.2.3", "1,,2"]
 )
 def test_parse_errors_carry_positions(bad):
     with pytest.raises(ParseError) as exc_info:
@@ -53,7 +60,7 @@ def test_align_reports_the_parse_error_of_the_failing_part():
     assert exc_info.value.position == 4
 
 
-def test_align_tokenizes_each_part_once(monkeypatch):
+def test_align_tokenizes_only_a_failing_part(monkeypatch):
     calls = []
     tokenize = formula._tokenize
 
@@ -63,8 +70,33 @@ def test_align_tokenizes_each_part_once(monkeypatch):
 
     monkeypatch.setattr(formula, "_tokenize", counted)
     aligned = align_variables("$1,200 + x;3*(4-y);z")
-    assert calls == ["$1,200 + x", "3*(4-y)", "z"]
+    assert calls == []
     assert (aligned.text, aligned.token_count) == ("@+@;@*(@-@);@", 6)
+    with pytest.raises(ParseError):
+        align_variables("1+2;(3*4")
+    # the error names the token where the walk stops, so only that part is read
+    assert calls == ["(3*4"]
+
+
+@pytest.mark.parametrize(
+    "raw, text",
+    [
+        ("x²", "@"),  # '²' is alphanumeric, so it continues an identifier
+        ("٣+x", "@+@"),  # '٣' is a decimal digit
+        ("1\u2003+\xa02", "@+@"),  # Unicode whitespace is skipped
+        ("1\x1c+\x1f2", "@+@"),  # so are the ASCII separators that str.isspace admits
+    ],
+)
+def test_align_reads_characters_as_str_methods_do(raw, text):
+    assert align_variables(raw).text == text
+
+
+def test_align_non_ascii_numeric_character_starts_no_token():
+    # '½' is neither a decimal digit nor a letter
+    with pytest.raises(ParseError) as exc_info:
+        align_variables("½+1")
+    assert str(exc_info.value) == "unexpected character '½' (at position 0)"
+    assert exc_info.value.position == 0
 
 
 def _exprs():
@@ -128,13 +160,18 @@ def _edit(text, edits):
     return text
 
 
+# a letter, a superscript, a vulgar fraction, an Arabic-Indic digit, two
+# Unicode spaces and an ASCII separator that str.isspace admits
+UNICODE_EDITS = ["é", "²", "½", "٣", "\xa0", "\u2003", "\x1c"]
+
+
 def _edited_formulas():
     """Formulas from the grammar, ';'-joined, then up to two
     single-character edits: mostly valid, with every kind of error."""
     edit = st.tuples(
         st.sampled_from(["insert", "delete", "replace"]),
         st.integers(0, 80),
-        st.sampled_from(list("()+-*/@1x.,$ ;?")),
+        st.sampled_from(list("()+-*/@1x.,$ ;?") + UNICODE_EDITS),
     )
     steps = st.lists(_exprs(), min_size=1, max_size=3).map(";".join)
     return st.builds(_edit, steps, st.lists(edit, max_size=2))
@@ -151,6 +188,16 @@ def _aligned_or_error(align, raw):
 @given(_edited_formulas())
 def test_align_matches_the_tree_parser(raw):
     assert _aligned_or_error(align_variables, raw) == _aligned_or_error(align_by_tree, raw)
+
+
+@settings(max_examples=400)
+@given(_edited_formulas())
+def test_tokens_match_the_character_reader(raw):
+    # the chain scanner reads tokens one at a time, and substitute_results reads a number's text
+    for i in range(len(raw)):
+        assert formula._read_token(raw, i) == read_token(raw, i)
+    for part in raw.split(";"):
+        assert _aligned_or_error(formula._tokenize, part) == _aligned_or_error(tokenize, part)
 
 
 def test_align_builds_no_tree():
@@ -303,11 +350,14 @@ def test_chains_past_a_run_of_openers_cost_no_more_as_the_run_grows(monkeypatch,
 
 def test_chains_align_only_segments_with_an_operator_character(monkeypatch):
     aligned = []
-    align = formula._align_part
-    monkeypatch.setattr(formula, "_align_part", lambda s: aligned.append(s) or align(s))
-    text = "In 1945, 100 people left (2 of them twice); then 3 + 4 = 7 = (7) and 2 = -5 = 3"
-    assert find_chains(text) == [Chain("3 + 4", 7.0)]
-    assert aligned == ["3 + 4", "(7)", "-5"]
+    align = formula._align
+    monkeypatch.setattr(formula, "_align", lambda s: aligned.append(s) or align(s))
+    text = (
+        "In 1945, 100 people left (2 of them twice); then 3 + 4 = 7 = (7), so 5 - 2 and 2 = -5 = 3"
+    )
+    assert find_chains(text) == [Chain("3 + 4", 7.0), Chain("5 - 2", None)]
+    # a last segment with an operator character states no result, so it is aligned only once
+    assert aligned == ["3 + 4", "(7)", "5 - 2", "-5"]
 
 
 def test_chain_three_part_equation():
