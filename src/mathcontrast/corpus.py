@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -89,7 +88,7 @@ class RetrievalIndex:
     formulas, and each entry's rank in ascending id order."""
 
     def __init__(self, examples: Sequence[ReferenceExample]):
-        self.entries = tuple(examples)
+        self.entries = list(examples)
         self.questions = tuple(ex.question for ex in self.entries)
         self.table = FormulaTable([ex.right_formula for ex in self.entries])
         # Python's str order; a numpy 'U' array would drop trailing NULs
@@ -97,19 +96,16 @@ class RetrievalIndex:
         self.id_rank = np.empty(len(by_id), dtype=np.intp)
         self.id_rank[by_id] = np.arange(len(by_id))
 
-    def matches(self, examples: Sequence[ReferenceExample]) -> bool:
-        """Whether ``examples`` holds the very entries the index was built from."""
-        return len(examples) == len(self.entries) and all(
-            map(operator.is_, examples, self.entries)
-        )
-
 
 class Corpus(list):
     """A list of reference examples that keeps one ``RetrievalIndex``.
 
     The index is built on first use and built again whenever the entries
-    are no longer the ones it was built from (checked on each use), so a
-    corpus can be edited like any list. Threads may share one corpus.
+    no longer equal the ones it was built from (one list comparison on
+    each use, which passes over identical entries without calling their
+    ``__eq__``), so a corpus can be edited like any list. An entry
+    replaced by an equal example keeps the index, which goes on holding
+    the entry it was built from. Threads may share one corpus.
     """
 
     def __init__(self, examples=()):
@@ -123,10 +119,10 @@ class Corpus(list):
 
     def index(self) -> RetrievalIndex:
         index = self._index
-        if index is None or not index.matches(self):
+        if index is None or index.entries != self:
             with self._lock:
                 index = self._index
-                if index is None or not index.matches(self):
+                if index is None or index.entries != self:
                     index = self._index = RetrievalIndex(self)
         return index
 

@@ -13,7 +13,9 @@ pass over the aligned characters, alternating between expecting an
 operand and expecting an operator and counting open parentheses, checks
 a formula at any depth without building a tree. An aligned formula
 splits at its most balanced top-level operator. The chain
-scanner, which finds formulas in prose, stops at MAX_NESTING levels of
+scanner, a second reader of the operand grammar, finds formulas in
+prose: it resolves each parenthesized group of a line once, right to
+left, and takes no operand nested past MAX_NESTING levels of
 parentheses and unary minus.
 """
 
@@ -27,7 +29,7 @@ from .errors import DegenerateInput, MergeError, ParseError
 
 log = logging.getLogger(__name__)
 
-# levels of parentheses and unary minus that the chain scanner follows
+# levels of parentheses and unary minus that a chain's operands may nest
 MAX_NESTING = 100
 # '+' and '-' bind last, so they sit at the true top of the tree;
 # preferred over '*' and '/' when split balance ties.
@@ -295,26 +297,26 @@ class Chain:
 _CHAIN_MAX_IDENT = 2
 
 
-def _scan_operand(line: str, i: int, depth: int) -> int | None:
+def _scan_operand(
+    line: str, i: int, groups: dict[int, tuple[int, int] | None]
+) -> tuple[int, int] | None:
     """Consume one operand (number, short ident, '@', parenthesized group,
-    or a negation of one) starting at i; returns the end index or None."""
+    or a negation of one) starting at i; returns its end and nesting, the
+    levels of unary minus and parentheses it opens, or None. A group is
+    looked up in ``groups``, never scanned again."""
+    nesting = 0
     while i < len(line) and line[i] == "-":
         i = _skip_pad(line, i + 1)
-        depth += 1
-    tok = _read_token(line, i) if i < len(line) and depth <= MAX_NESTING else None
+        nesting += 1
+    if i < len(line) and line[i] == "(":
+        group = groups[i]
+        return group and (group[0], nesting + group[1])
+    tok = _read_token(line, i) if i < len(line) else None
     if tok is None:
         return None
     kind, text, j = tok
-    if kind == "number" or kind == "at":
-        return j
-    if kind == "ident":
-        return j if len(text) <= _CHAIN_MAX_IDENT else None
-    if kind == "lparen":  # a balanced '(...)' around a chain-style expression
-        j = _scan_expression(line, _skip_pad(line, i + 1), depth + 1)
-        if j is not None:
-            j = _skip_pad(line, j)
-            if j < len(line) and line[j] == ")":
-                return j + 1
+    if kind == "number" or kind == "at" or (kind == "ident" and len(text) <= _CHAIN_MAX_IDENT):
+        return j, nesting
     return None
 
 
@@ -324,20 +326,24 @@ def _skip_pad(line: str, i: int) -> int:
     return i
 
 
-def _scan_expression(line: str, i: int, depth: int = 0) -> int | None:
-    """Consume operand (op operand)* greedily; returns end index or None."""
-    end = _scan_operand(line, i, depth)
-    if end is None:
+def _scan_expression(
+    line: str, i: int, groups: dict[int, tuple[int, int] | None], limit: int
+) -> tuple[int, int] | None:
+    """Consume operand (op operand)* greedily, up to the first operand
+    nested past ``limit``; returns the end and the deepest nesting read,
+    or None when the first operand fails."""
+    scan = _scan_operand(line, i, groups)
+    if scan is None or scan[1] > limit:
         return None
+    end, nesting = scan
     while True:
         j = _skip_pad(line, end)
         if j >= len(line) or line[j] not in "+-*/":
-            return end
-        k = _skip_pad(line, j + 1)
-        nxt = _scan_operand(line, k, depth)
-        if nxt is None:
-            return end
-        end = nxt
+            return end, nesting
+        scan = _scan_operand(line, _skip_pad(line, j + 1), groups)
+        if scan is None or scan[1] > limit:
+            return end, nesting
+        end, nesting = scan[0], max(nesting, scan[1])
 
 
 def _has_operator(segment: str) -> bool:
@@ -373,21 +379,6 @@ def _stated_result(segment: str) -> float | None:
     return float(number) if kind == "number" else None
 
 
-def _next_start(line: str, i: int) -> int:
-    """Where to look for a span after a failed scan from i.
-
-    A scan from an opener ('(' or '-') whose run of openers is longer
-    than MAX_NESTING fails at the nesting limit, so the run's openers
-    that still have more than MAX_NESTING openers ahead are skipped.
-    """
-    openers = []
-    j = i
-    while j < len(line) and line[j] in "(-":
-        openers.append(j)
-        j = _skip_pad(line, j + 1)
-    return openers[-MAX_NESTING] if len(openers) > MAX_NESTING else i + 1
-
-
 def find_chains(text: str) -> list[Chain]:
     """Find arithmetic steps in model output text.
 
@@ -396,28 +387,39 @@ def find_chains(text: str) -> list[Chain]:
     '='-segment containing an operator, and the stated result is the
     final segment when it is a bare number. Pure-number spans are not
     steps and are skipped, and so is any span nested past MAX_NESTING.
+    Each line costs time linear in its length, however deep it nests.
     """
     chains = []
     for line in text.splitlines():
+        # each '(' maps to the end and nesting of the group it opens, or to
+        # None. Filled right to left, a group's scan finds its inner groups
+        # resolved; it has no limit, as nothing nests deeper than the line is long.
+        groups: dict[int, tuple[int, int] | None] = {}
+        p = len(line)
+        while (p := line.rfind("(", 0, p)) >= 0:
+            scan = _scan_expression(line, _skip_pad(line, p + 1), groups, len(line))
+            end = _skip_pad(line, scan[0]) if scan else len(line)
+            groups[p] = (end + 1, scan[1] + 1) if end < len(line) and line[end] == ")" else None
         i = 0
         while i < len(line):
             ch = line[i]
             if not (ch.isdecimal() or ch == "("):
                 i += 1
                 continue
-            end = _scan_expression(line, i)
-            if end is None:
-                i = _next_start(line, i)
+            scan = _scan_expression(line, i, groups, MAX_NESTING)
+            if scan is None:
+                i += 1
                 continue
+            end = scan[0]
             segments = [line[i:end].strip()]
             j = _skip_pad(line, end)
             while j < len(line) and line[j] == "=":
                 k = _skip_pad(line, j + 1)
-                nxt_end = _scan_expression(line, k)
-                if nxt_end is None:
+                scan = _scan_expression(line, k, groups, MAX_NESTING)
+                if scan is None:
                     break
-                segments.append(line[k:nxt_end].strip())
-                j = _skip_pad(line, nxt_end)
+                segments.append(line[k : scan[0]].strip())
+                j = _skip_pad(line, scan[0])
             expr_seg = next((s for s in segments if _has_operator(s)), None)
             if expr_seg is not None:
                 # a segment with an operator states no result, so a lone segment states none

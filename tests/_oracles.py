@@ -6,7 +6,9 @@ The dedup reference is the greedy scan of per-pair ``tls`` calls. The
 formula references read tokens one character at a time and parse each
 formula into a tree, by recursive descent over the precedence grammar,
 where the library writes '@' per operand by pattern and makes one flat
-pass over the aligned characters. The mock-script reference tries
+pass over the aligned characters. The chain reference scans prose by
+recursive descent, into every group from every start, where the library
+resolves each parenthesized group once. The mock-script reference tries
 every substring rule in order, where the mock backend looks up its
 anchor index. The embedding reference calls crc32 once per n-gram,
 where the offline provider looks buckets up in byte tables.
@@ -235,14 +237,107 @@ def stated_result_by_tree(segment: str) -> float | None:
     return float(node[1]) if node is not None and node[0] == "number" else None
 
 
+def _scan_operand(line: str, i: int, depth: int) -> int | None:
+    """Consume one operand (number, short ident, '@', parenthesized group,
+    or a negation of one) starting at i; returns the end index or None."""
+    from mathcontrast.formula import _CHAIN_MAX_IDENT, MAX_NESTING
+
+    while i < len(line) and line[i] == "-":
+        i = _skip_pad(line, i + 1)
+        depth += 1
+    tok = read_token(line, i) if i < len(line) and depth <= MAX_NESTING else None
+    if tok is None:
+        return None
+    kind, text, j = tok
+    if kind == "number" or kind == "at":
+        return j
+    if kind == "ident":
+        return j if len(text) <= _CHAIN_MAX_IDENT else None
+    if kind == "lparen":
+        j = _scan_expression(line, _skip_pad(line, i + 1), depth + 1)
+        if j is not None:
+            j = _skip_pad(line, j)
+            if j < len(line) and line[j] == ")":
+                return j + 1
+    return None
+
+
+def _skip_pad(line: str, i: int) -> int:
+    while i < len(line) and (line[i].isspace() or line[i] in _SKIP_CHARS):
+        i += 1
+    return i
+
+
+def _scan_expression(line: str, i: int, depth: int = 0) -> int | None:
+    """Consume operand (op operand)* greedily; returns end index or None."""
+    end = _scan_operand(line, i, depth)
+    if end is None:
+        return None
+    while True:
+        j = _skip_pad(line, end)
+        if j >= len(line) or line[j] not in "+-*/":
+            return end
+        nxt = _scan_operand(line, _skip_pad(line, j + 1), depth)
+        if nxt is None:
+            return end
+        end = nxt
+
+
+def _next_start(line: str, i: int) -> int:
+    """Past a run of more than MAX_NESTING openers ('(' or '-'), a scan
+    fails from every opener that has more than MAX_NESTING ahead."""
+    from mathcontrast.formula import MAX_NESTING
+
+    openers = []
+    j = i
+    while j < len(line) and line[j] in "(-":
+        openers.append(j)
+        j = _skip_pad(line, j + 1)
+    return openers[-MAX_NESTING] if len(openers) > MAX_NESTING else i + 1
+
+
+def chains_by_descent(text: str):
+    """``find_chains(text)`` by recursive descent: each start scans every
+    group it meets again, carrying the depth of parentheses and unary
+    minus down to stop at MAX_NESTING, and a failed start skips the
+    openers of a run from which a scan would fail the same way."""
+    from mathcontrast.formula import Chain, _has_operator, _stated_result
+
+    chains = []
+    for line in text.splitlines():
+        i = 0
+        while i < len(line):
+            ch = line[i]
+            if not (ch.isdecimal() or ch == "("):
+                i += 1
+                continue
+            end = _scan_expression(line, i)
+            if end is None:
+                i = _next_start(line, i)
+                continue
+            segments = [line[i:end].strip()]
+            j = _skip_pad(line, end)
+            while j < len(line) and line[j] == "=":
+                k = _skip_pad(line, j + 1)
+                nxt_end = _scan_expression(line, k)
+                if nxt_end is None:
+                    break
+                segments.append(line[k:nxt_end].strip())
+                j = _skip_pad(line, nxt_end)
+            expr_seg = next((s for s in segments if _has_operator(s)), None)
+            if expr_seg is not None:
+                chains.append(Chain(expr_seg, _stated_result(segments[-1])))
+            i = max(j, end)
+    return chains
+
+
 def first_rule_by_scan(rules, text: str):
-    """The ``(key, completions)`` of the first rule whose needles all
-    occur in ``text``, or None; ``rules`` are ``MockBackend.rules``,
-    ``(needles, completions)`` pairs, tried in order."""
+    """The first of ``rules`` (``MockBackend.rules``, ``(needles,
+    completions)`` pairs, tried in order) whose needles all occur in
+    ``text``, or None."""
     for needles, completions in rules:
         if all(needle in text for needle in needles):
-            escaped = (needle.replace("\\", "\\\\").replace("|", "\\|") for needle in needles)
-            return "rule:" + "|".join(escaped), completions
+            return needles, completions
     return None
 
 

@@ -364,6 +364,22 @@ def test_dedup_on_a_corpus_builds_one_index_that_a_later_rank_reuses(monkeypatch
     assert [(ex.id, score) for ex, score in ranked][0] == (corpus[3].id, 1.0)
 
 
+def test_corpus_keeps_its_index_while_its_entries_stay_equal():
+    corpus = Corpus(_example(i, f"question {i}") for i in range(5))
+    index = corpus.index()
+    # an equal example in place of an entry keeps the index and its entry
+    corpus[2] = _example(2, "question 2")
+    assert corpus[2] is not index.entries[2]
+    assert corpus.index() is index and index.entries[2] == corpus[2]
+    # an unequal one rebuilds it from the current entries
+    corpus[2] = _example(2, "question two")
+    rebuilt = corpus.index()
+    assert rebuilt is not index
+    assert rebuilt.entries == corpus and rebuilt.questions[2] == "question two"
+    corpus.append(_example(5, "question 5"))
+    assert corpus.index() is not rebuilt and len(corpus.index().entries) == 6
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
 def test_dedup_builds_no_count_rows_that_only_bounded_top_k_reads(monkeypatch, alpha):
     built = []

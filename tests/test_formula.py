@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     align_by_tree,
+    chains_by_descent,
     has_operator_by_tree,
     parse_tree,
     read_token,
@@ -346,6 +347,54 @@ def test_chains_past_a_run_of_openers_cost_no_more_as_the_run_grows(monkeypatch,
         ]
     # a scan from each opener of the run would read about MAX_NESTING tokens per level
     assert counts[4000] - counts[2000] < 2000
+
+
+# prose pieces, and runs of openers and closers around the nesting limit
+_CHAIN_PIECES = st.one_of(
+    st.sampled_from(
+        list("0123456789+-*/()=$\\ .,") + ["x", "ab", "price", "total", "\n"] + UNICODE_EDITS[:5]
+    ),
+    st.builds(
+        lambda run, depth: run * depth,
+        st.sampled_from(["(", "(-", "( - ", ")"]),
+        st.integers(formula.MAX_NESTING - 10, formula.MAX_NESTING + 10),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CHAIN_PIECES, max_size=40).map("".join))
+def test_chains_match_the_recursive_descent(text):
+    assert find_chains(text) == chains_by_descent(text)
+
+
+def test_nested_chains_match_the_recursive_descent():
+    for depth in range(formula.MAX_NESTING - 15, formula.MAX_NESTING + 16):
+        for text in (
+            "(" * depth + "1+2" + ")" * depth,
+            "(-" * depth + "1+2" + ")" * depth,
+            "( - " * depth + "1+2" + ")" * depth,
+            "(1+" * depth + "2" + ")" * depth + " = 7",
+            "3 + " + "(2*-" * depth + "1" + ")" * depth + " = 5 - 1",
+            "x = " + "-" * depth + "5 = 5 and 1 + " + "-" * depth + "5",
+            "so " + "(" * depth + "3*4" + ")" * depth + " = 12",
+        ):
+            assert find_chains(text) == chains_by_descent(text), text
+
+
+@pytest.mark.parametrize("opener, inner", [("(1+", "2"), ("(-", "1")])
+def test_chains_read_tokens_in_linear_time_at_any_nesting(monkeypatch, opener, inner):
+    reads = []
+    read = formula._read_token
+    monkeypatch.setattr(formula, "_read_token", lambda s, i: reads.append(i) or read(s, i))
+    counts = {}
+    for levels in (2000, 4000):
+        reads.clear()
+        find_chains(opener * levels + inner + ")" * levels)
+        counts[levels] = len(reads)
+    # each group is scanned once, however deep, so twice the levels read
+    # at most about twice the tokens
+    assert counts[4000] <= 2.1 * counts[2000]
 
 
 def test_chains_align_only_segments_with_an_operator_character(monkeypatch):

@@ -148,20 +148,21 @@ def test_mock_rules_with_identical_contains_share_one_cursor():
     req = ChatRequest((("user", "x marks the spot"),))
     got = [backend.complete(req).completions for _ in range(4)]
     assert got == [("a",), ("b",), ("c",), ("a",)]
-    assert backend._cursors == {"rule:x": 4}
+    assert backend._cursors == {("x",): 4}
+    # no request is kept
+    assert backend.calls == []
 
 
 @pytest.mark.parametrize(
     "joined, split",
     [
         (["x|y"], ["x", "y"]),
-        # escaping "|" alone would key both rules "rule:x\\|y"
+        # joined with "|" after escaping "|" alone, both would read "x\\|y"
         (["x|y"], ["x\\", "y"]),
     ],
 )
 def test_mock_rules_with_different_contains_keep_their_own_cursors(joined, split):
-    # a needle holding the key's separator must not share the cursor of
-    # the needles it would join into
+    # rules whose needles would join into the same string keep their own cursors
     backend = MockBackend(rules=[(joined, ["c", "d"]), (split, ["a", "b"])], stateful=True)
     got = [
         backend.complete(ChatRequest((("user", text),))).completions
