@@ -79,17 +79,15 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        """The config a JSON object holds; SchemaError names a field whose
-        value does not match its declared type (checked as
-        ``datasets.check_fields`` checks a record), or says which value is
-        out of range."""
+        """The config a JSON object holds; SchemaError names a key that is
+        no field, a field whose value does not match its declared type
+        (checked as ``datasets.check_fields`` checks a record), or says
+        which value is out of range."""
         obj = datasets.read_json_object(path)
         table = [(f.name, _CONFIG_TYPES[f.type], f.default) for f in dataclasses.fields(cls)]
         unknown = set(obj) - {name for name, _kinds, _default in table}
         if unknown:
-            raise MathContrastError(
-                f"unknown config keys in {path}: {', '.join(sorted(unknown))}"
-            )
+            raise SchemaError("unknown config key", 1, min(unknown))
         cfg = cls(*datasets.check_fields(obj, table, 1))
         try:
             cfg.validate()

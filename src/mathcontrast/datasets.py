@@ -29,15 +29,16 @@ class Problem:
 def read_jsonl_objects(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a
     line-delimited JSON file; a line that is not a JSON object raises
-    SchemaError naming it."""
+    SchemaError naming it, also when it nests past the recursion limit
+    or holds an integer past the digit limit."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line_no)
+            except (ValueError, RecursionError) as exc:
+                raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no)
             if not isinstance(obj, dict):
                 raise SchemaError("record is not an object", line_no)
             yield line_no, obj
@@ -86,14 +87,15 @@ def check_fields(obj: dict, table: Sequence[tuple[str, tuple, object]], line: in
 
 def read_json_object(path: str | os.PathLike) -> dict:
     """The JSON object that a whole file holds. Invalid JSON raises
-    SchemaError at the decoder's line, and a document that is not an
-    object raises it at line 1."""
+    SchemaError at the decoder's line; JSON too deep or an integer too
+    long to read, and a document that is not an object, raise it at
+    line 1."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", exc.lineno)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", 1))
     if not isinstance(obj, dict):
         raise SchemaError("document is not an object", 1)
     return obj

@@ -101,6 +101,8 @@ def split_balanced(a: AlignedFormula | str) -> SplitResult:
 # most one '.' and a ',' between digits as a thousands separator; or an
 # identifier (``\w`` is ``str.isalnum`` or '_').
 _OPERAND = re.compile(r"\d+(?:,\d+)*(?:\.\d+(?:,\d+)*)?|\.\d+(?:,\d+)*|[^\W\d]\w*")
+# where find_chains may start a span: a digit or '('
+_SPAN_START = re.compile(r"[\d(]")
 # the other tokens are single characters, which alignment keeps
 _CHAR_KINDS = {"@": "at", "+": "op", "-": "op", "*": "op", "/": "op", "(": "lparen", ")": "rparen"}
 _OPERAND_KINDS = {"number", "ident", "at"}
@@ -401,11 +403,8 @@ def find_chains(text: str) -> list[Chain]:
             end = _skip_pad(line, scan[0]) if scan else len(line)
             groups[p] = (end + 1, scan[1] + 1) if end < len(line) and line[end] == ")" else None
         i = 0
-        while i < len(line):
-            ch = line[i]
-            if not (ch.isdecimal() or ch == "("):
-                i += 1
-                continue
+        while (start := _SPAN_START.search(line, i)) is not None:
+            i = start.start()
             scan = _scan_expression(line, i, groups, MAX_NESTING)
             if scan is None:
                 i += 1

@@ -104,7 +104,8 @@ def post_json(session, url: str, payload: dict, api_key: str | None, timeout: fl
     ``MAX_RETRIES`` times. Retry i waits ``BACKOFF_S * 2**i`` seconds,
     or a 429's ``Retry-After`` capped at ``timeout``. The last failure
     raises TransportError, RateLimited or BackendError. A 401 or 403
-    raises AuthError, another 4xx or a non-JSON body BackendError.
+    raises AuthError; another 4xx, or a body that is not JSON or nests
+    too deep to decode, raises BackendError.
     """
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -132,7 +133,7 @@ def post_json(session, url: str, payload: dict, api_key: str | None, timeout: fl
             else:
                 try:
                     return resp.json()
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise BackendError(f"backend returned non-JSON body: {exc}") from exc
         if attempt == MAX_RETRIES:
             raise error

@@ -461,8 +461,14 @@ def test_eval_scripted_accuracy(eval_run, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["{not json}", "[1, 2]", json.dumps({"problem_id": "t2", "kind": "spelling"})],
-    ids=["invalid-json", "not-object", "unknown-kind"],
+    [
+        "{not json}",
+        "[1, 2]",
+        json.dumps({"problem_id": "t2", "kind": "spelling"}),
+        "[" * 100_000,
+        "1" * 5000,
+    ],
+    ids=["invalid-json", "not-object", "unknown-kind", "nested-past-recursion-limit", "integer-past-digit-limit"],
 )
 def test_eval_malformed_annotations_is_data_error_with_line(eval_run, tmp_path, capsys, bad_line):
     dataset, script = eval_run
@@ -594,13 +600,6 @@ def test_eval_rejects_bad_alpha(eval_run, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
-    bad = tmp_path / "config.json"
-    bad.write_text(json.dumps({"alpha": 0.5, "no_such_key": 1}))
-    code = cli.main(["eval", "--config", str(bad)])
-    assert code == cli.EXIT_DATA
-
-
 @pytest.mark.parametrize(
     "content, where",
     [
@@ -610,6 +609,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ('{"alpha": true}', "field 'alpha'"),
         ("[1, 2]", "line 1"),
         ('{\n  "alpha": 0.5,\n}', "line 3"),
+        ('{"alpha": 0.5, "no_such_key": 1}', "line 1, field 'no_such_key'"),
+        pytest.param("[" * 100_000, "line 1", id="nested-past-recursion-limit"),
     ],
 )
 def test_malformed_config_file_is_a_schema_error(tmp_path, capsys, content, where):

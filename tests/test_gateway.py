@@ -435,6 +435,13 @@ def test_http_server_errors_retry_then_fail(monkeypatch):
     assert len(session.posts) == 3
 
 
+def test_http_body_nested_past_the_recursion_limit_is_a_backend_error():
+    response = requests.Response()
+    response.status_code, response._content = 200, b"[" * 100_000
+    with pytest.raises(BackendError, match="non-JSON body"):
+        _backend(_FakeSession([response])).complete(ChatRequest(MSGS))
+
+
 @pytest.mark.parametrize("status", [400, 404, 422])
 def test_http_client_errors_are_not_retried(status):
     session = _FakeSession([_FakeResponse(status=status)])
