@@ -26,6 +26,10 @@ from .similarity import tls  # noqa: F401 - unused here; perfbench/ patches corp
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-6
+# candidate x entry cells in one block of dedup: 10 candidates on a
+# 200-entry corpus. Larger blocks save little time, and BLAS's buffers
+# for the larger product raise the peak RSS
+DEDUP_BLOCK_CELLS = 1 << 11
 
 
 def answers_match(a: float | None, b: float | None) -> bool:
@@ -182,33 +186,47 @@ def dedup(
 
     An example is dropped when its combined similarity against any
     already-kept example exceeds the dedup threshold; order is
-    preserved, so the pass is idempotent. Each example after the first is
-    scored against the retrieval index (kept by a ``Corpus`` for a later
-    ``rank``) in one ``similarity.scores`` call: the semantic term against
-    every entry, the logic term only against the entries kept before it
-    whose bound ``alpha * 1.0 + (1 - alpha) * semantic`` exceeds the
-    threshold. The bound is never below the score, so no entry skipped
-    could have made the example a duplicate. Scores equal per-pair
-    ``tls``, as in ``rank``: float embeddings may differ from per-pair
-    ``similarity`` in the last bit. Like the per-pair scan, two or more
-    entries with one that cannot be scored raise DegenerateInput or
-    ZeroVector.
+    preserved, so the pass is idempotent. The examples after the first
+    are scored against the retrieval index (kept by a ``Corpus`` for a
+    later ``rank``) in blocks of at most ``DEDUP_BLOCK_CELLS`` candidate
+    x entry cells. A block takes its semantic terms in one
+    ``similarity.semantic_terms`` call (one matrix product with the
+    offline provider) and bounds every cell by ``alpha * 1.0 + (1 -
+    alpha) * semantic``, an exact cut (``similarity.bound_exceeds``).
+    Each candidate, in order, keeps the entries kept before it whose
+    cell survives the cut; one with none left is kept at once. Only a
+    candidate with a survivor calls ``similarity.scores``, the exact
+    scorer, on those entries, passing its row of the block so the
+    provider is not asked again.
+
+    With integer embeddings, such as the offline provider's counts, the
+    scores equal per-pair ``tls`` bit for bit; float embeddings may
+    differ from per-pair ``similarity`` in the last bit. Like the
+    per-pair scan, two or more entries with one that cannot be scored
+    raise DegenerateInput or ZeroVector, DegenerateInput first.
     """
     index = retrieval_index(examples)
-    kept = np.zeros(len(index.entries), dtype=bool)
+    n, alpha, threshold = len(index.entries), cfg.alpha, cfg.dedup_threshold
+    if n > 1 and alpha > 0.0:
+        # as tls would at the first pair, before the provider is asked
+        index.table.check(index.entries[0].right_formula)
+    kept = np.zeros(n, dtype=bool)
     kept[:1] = True
-    for i, ex in enumerate(index.entries[1:], 1):
-        target = (ex.question, ex.right_formula)
-        row = similarity.scores(
-            target,
-            index.questions,
-            index.table,
-            cfg,
-            sem,
-            rows=np.flatnonzero(kept[:i]),
-            above=cfg.dedup_threshold,
-        )
-        kept[i] = not (row > cfg.dedup_threshold).any()
+    step = max(1, DEDUP_BLOCK_CELLS // max(n, 1))
+    for start in range(1, n, step):
+        stop = min(start + step, n)
+        semantic = similarity.semantic_terms(index.questions[start:stop], index.questions, alpha, sem)
+        live = similarity.bound_exceeds(alpha, semantic, threshold)
+        for i in range(start, stop):
+            rows = np.flatnonzero(live[i - start, :i] & kept[:i])
+            if rows.size:
+                target = (index.entries[i].question, index.entries[i].right_formula)
+                row = similarity.scores(
+                    target, index.questions, index.table, cfg, sem, rows=rows, semantic=semantic[i - start]
+                )
+                kept[i] = not (row > threshold).any()
+            else:
+                kept[i] = True
     return [ex for ex, keep in zip(index.entries, kept) if keep]
 
 

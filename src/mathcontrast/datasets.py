@@ -26,13 +26,23 @@ class Problem:
     source: str = ""
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
+
+
 def read_jsonl_objects(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a
-    line-delimited JSON file; a line that is not a JSON object raises
-    SchemaError naming it, also when it nests past the recursion limit
+    line-delimited JSON file. The file is read as bytes, cut into lines
+    at each newline byte, and each line decoded on its own, so a line
+    that is not UTF-8 raises SchemaError naming it; so does a line that
+    is not a JSON object, also when it nests past the recursion limit
     or holds an integer past the digit limit."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(_not_utf8(exc), line_no)
             if not line.strip():
                 continue
             try:
@@ -86,12 +96,16 @@ def check_fields(obj: dict, table: Sequence[tuple[str, tuple, object]], line: in
 
 
 def read_json_object(path: str | os.PathLike) -> dict:
-    """The JSON object that a whole file holds. Invalid JSON raises
-    SchemaError at the decoder's line; JSON too deep or an integer too
-    long to read, and a document that is not an object, raise it at
-    line 1."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """The JSON object that a whole file holds. Bytes that are not UTF-8
+    raise SchemaError at the line of the first bad byte; invalid JSON at
+    the decoder's line; JSON too deep or an integer too long to read,
+    and a document that is not an object, at line 1."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(_not_utf8(exc), data.count(b"\n", 0, exc.start) + 1)
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:

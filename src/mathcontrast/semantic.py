@@ -1,7 +1,8 @@
 """Semantic similarity providers for question texts.
 
-Providers expose ``similarity(a, b) -> float in [-1, 1]``, and
-``similarities(a, texts)`` for one text against a whole corpus. Two are
+Providers expose ``similarity(a, b) -> float in [-1, 1]``,
+``similarities(a, texts)`` for one text against a whole corpus, and
+``similarity_rows(queries, texts)`` for a block of texts against it. Two are
 built in: a remote provider that calls an HTTP embedding endpoint, and
 a fully offline provider that hashes character n-grams into a fixed
 256-dimensional vector. The offline one is deterministic across
@@ -122,8 +123,9 @@ class _CosineProvider:
     exactly, whatever their rounded self-cosine.
 
     ``similarity`` caches each text's vector with its norm, for up to
-    ``EMBED_CACHE_LIMIT`` texts; a full cache is cleared. ``similarities``
-    caches one corpus per provider: the embedding matrix of its texts,
+    ``EMBED_CACHE_LIMIT`` texts; a full cache is cleared.
+    ``similarity_rows``, and ``similarities`` through it, cache one
+    corpus per provider: the embedding matrix of its texts,
     the row norms, each text's first row, each row's first row with the
     same text, and the rows whose norm reaches ``EXACT_NORM``, keyed by
     the texts tuple. Corpus vectors live only in that matrix.
@@ -189,47 +191,65 @@ class _CosineProvider:
         return 1.0 if a == b else value
 
     def similarities(self, a: str, texts: Sequence[str]) -> np.ndarray:
-        """``[similarity(a, t) for t in texts]`` as one matrix-vector
-        product, ``(matrix @ u) / (nu * norms)``, raising ZeroVector and
-        DimensionMismatch as ``similarity`` does.
+        """``[similarity(a, t) for t in texts]``: the one-row case of
+        ``similarity_rows``."""
+        return self.similarity_rows((a,), texts)[0]
+
+    def similarity_rows(self, queries: Sequence[str], texts: Sequence[str]) -> np.ndarray:
+        """``[[similarity(a, t) for t in texts] for a in queries]`` as an
+        (m, n) array, from one matrix product ``(matrix @ U) / (nu *
+        norms)`` over the query vectors ``U`` (one query: a
+        matrix-vector product), raising ZeroVector and DimensionMismatch
+        as ``similarity`` does.
 
         With integer embeddings, such as the hashing provider's counts,
         every dot product and squared norm is an exact integer whatever
         order BLAS sums in, so each value equals ``similarity``'s bit for
         bit. The hashing provider's matrix is float32, and so is its
-        product when the query's and the row's norms are below
+        product when every query's norm and the row's are below
         ``EXACT_NORM``: counts are never negative, so every partial sum
         is at most the dot product, which Cauchy-Schwarz bounds by the
         larger squared norm, below 2**24. Any other row's product, or
         every row's for a larger query, is taken in float64. With float
         embeddings, such as a remote provider's, the matrix is float64
         and the two may differ in the last bit, except at the texts equal
-        to ``a``, which both score 1.0.
+        to a query, which both score 1.0.
 
-        When ``a`` is one of ``texts`` its vector is read from the corpus
-        matrix, so scoring a corpus against itself embeds nothing more.
+        A query that is one of ``texts`` is read from the corpus matrix,
+        so scoring a corpus against itself embeds nothing more.
         """
-        if not texts:
-            return np.zeros(0)
+        if not texts or not queries:
+            return np.zeros((len(queries), len(texts)))
         matrix, norms, rows, first, big = self._corpus_matrix(texts)
-        row = rows.get(a)
-        u, nu = self._embed_cached(a) if row is None else (matrix[row], norms[row])
-        if matrix.shape[1:] != u.shape:
-            raise DimensionMismatch(
-                f"vector dimensions differ: {u.shape} vs {matrix.shape[1:]}"
-            )
-        if nu == 0.0 or not norms.all():
+        us, nus, own = [], [], []
+        for a in queries:
+            row = rows.get(a)
+            u, nu = self._embed_cached(a) if row is None else (matrix[row], norms[row])
+            if matrix.shape[1:] != u.shape:
+                raise DimensionMismatch(
+                    f"vector dimensions differ: {u.shape} vs {matrix.shape[1:]}"
+                )
+            us.append(u)
+            nus.append(nu)
+            own.append(-1 if row is None else row)
+        if min(nus) == 0.0 or not norms.all():
             raise ZeroVector("cosine similarity is undefined for a zero vector")
-        if matrix.dtype == np.float32 and nu < EXACT_NORM:
+        # one query is a matrix-vector product; m queries a matrix product
+        # with one column each, divided row by row
+        u, nu = (us[0], nus[0]) if len(us) == 1 else (np.stack(us, axis=1), np.array(nus)[:, None])
+        if matrix.dtype == np.float32 and max(nus) < EXACT_NORM:
             dots = (matrix @ u.astype(np.float32)).astype(np.float64)
             if big.size:
                 dots[big] = matrix[big] @ u.astype(np.float64)
         else:
             dots = matrix @ u.astype(np.float64)
-        out = dots / (nu * norms)
-        if row is not None:
-            # the texts equal to ``a`` are the rows whose first row is a's
-            out[first == row] = 1.0
+        # one row per query, divided in place
+        out = dots.T
+        out /= nu * norms
+        out = out.reshape(len(us), len(matrix))
+        if max(own) >= 0:
+            # the texts equal to a query are the rows whose first row is its own
+            out[np.equal.outer(own, first)] = 1.0
         return out
 
 

@@ -48,7 +48,9 @@ class SemanticProvider(Protocol):
     """Similarity of two question texts, in [-1, 1].
 
     A provider may also offer ``similarities(a, texts)``, one score per
-    text as an array; ``scores`` uses it when present.
+    text as an array, and ``similarity_rows(queries, texts)``, one such
+    row per query as an (m, n) array; ``semantic_terms`` uses the
+    broadest one present.
     """
 
     def similarity(self, a: str, b: str) -> float: ...
@@ -359,6 +361,41 @@ def tls(
     return _combine(alpha, logic, semantic)
 
 
+def semantic_terms(
+    queries: Sequence[str], texts: Sequence[str], alpha: float, sem: SemanticProvider
+) -> np.ndarray:
+    """The semantic term of ``tls`` for each of ``queries`` against each
+    of ``texts``, the provider's similarity clamped to [0, 1], as an
+    (m, n) float64 array. At alpha 1 it reads 0 and the provider is not
+    asked. Otherwise the provider's capabilities decide the calls: one
+    block product, ``similarity_rows(queries, texts)``, when it has one;
+    else one ``similarities(a, texts)`` per query; else the protocol's
+    minimum, one ``similarity`` per pair.
+    """
+    shape = (len(queries), len(texts))
+    if alpha == 1.0:
+        return np.zeros(shape)
+    if hasattr(sem, "similarity_rows"):
+        cosines = sem.similarity_rows(queries, texts)
+    elif hasattr(sem, "similarities"):
+        cosines = [sem.similarities(a, texts) for a in queries]
+    else:
+        cosines = [[sem.similarity(a, t) for t in texts] for a in queries]
+    # fmax/fmin, like max/min in tls, map a NaN cosine to 0
+    semantic = np.fmax(np.asarray(cosines, dtype=np.float64).reshape(shape), 0.0)
+    return np.fmin(1.0, semantic, out=semantic)
+
+
+def bound_exceeds(alpha: float, semantic: np.ndarray, above: float) -> np.ndarray:
+    """Where a score whose semantic term is ``semantic`` (elementwise)
+    can exceed ``above``: where its bound ``alpha * 1.0 + (1 - alpha) *
+    semantic`` does. The cut is exact: the logic term is at most 1, the
+    semantic term lies in [0, 1], and IEEE rounding is monotone, so the
+    bound is never below ``alpha * logic + (1 - alpha) * semantic`` (the
+    threshold algorithm of Fagin, Lotem and Naor, PODS 2001)."""
+    return _combine(alpha, 1.0, semantic) > above
+
+
 def scores(
     target: ExamplePair,
     questions: Sequence[str],
@@ -369,25 +406,23 @@ def scores(
     rows=None,
     above: float | None = None,
     top: int | None = None,
+    semantic: np.ndarray | None = None,
 ) -> np.ndarray:
     """``tls(target, (q, f))`` for each question ``q`` and the formula
     ``f`` of each entry of ``table``, as a float64 array.
 
     The values equal ``tls``'s bit for bit when the provider's
-    ``similarities`` equals its per-pair ``similarity``: the same
+    ``similarity_rows`` equals its per-pair ``similarity``: the same
     operations run elementwise in numpy. The semantic term of all
-    entries comes from one ``similarities`` call, and one table scored
-    against many targets shares its branch distances.
+    entries comes from one ``semantic_terms`` row, or from ``semantic``
+    (that row, already taken; the provider is then not asked), and one
+    table scored against many targets shares its branch distances.
 
     ``rows`` (entry indices, every entry by default) and ``above`` (a
     score) skip entries: one outside ``rows``, or whose score cannot
-    exceed ``above``, reads -inf, and its formula is not compared. Every
-    other entry holds its exact score. The cut is exact: the logic term
-    is at most 1, the semantic term lies in [0, 1], and IEEE rounding is
-    monotone, so ``alpha * 1.0 + (1 - alpha) * semantic`` is never below
-    ``alpha * logic + (1 - alpha) * semantic``; an entry whose bound is
-    at most ``above`` scores at most ``above`` (the threshold algorithm
-    of Fagin, Lotem and Naor, PODS 2001). At alpha 0 the formula is not
+    exceed ``above`` (``bound_exceeds``, an exact cut), reads -inf, and
+    its formula is not compared. Every other entry holds its exact
+    score. At alpha 0 the formula is not
     compared, and at alpha 1 the provider is not asked: the term left
     out reads 0, as in ``tls`` (adding 0.0 leaves a logic term, never
     -0.0, bit for bit). A degenerate target or table raises
@@ -410,17 +445,11 @@ def scores(
     rows = np.arange(len(questions)) if rows is None else np.asarray(rows, dtype=np.intp)
     if alpha > 0.0:
         table.check(formula)
-    if alpha < 1.0:
-        if hasattr(sem, "similarities"):
-            semantic = sem.similarities(question, questions)
-        else:  # the protocol's minimum: one similarity per pair
-            semantic = [sem.similarity(question, q) for q in questions]
-        # fmax/fmin, like max/min in tls, map a NaN cosine to 0
-        semantic = np.fmin(1.0, np.fmax(np.asarray(semantic, dtype=np.float64)[rows], 0.0))
-    else:
-        semantic = np.zeros(len(rows))
+    if semantic is None:
+        semantic = semantic_terms((question,), questions, alpha, sem)[0]
+    semantic = semantic[rows]
     if above is not None:
-        keep = _combine(alpha, 1.0, semantic) > above
+        keep = bound_exceeds(alpha, semantic, above)
         rows, semantic = rows[keep], semantic[keep]
     out = np.full(len(questions), -np.inf)
     if alpha > 0.0 and top is not None and top < len(rows):
@@ -438,8 +467,7 @@ def scores(
             kth = np.partition(exact[scored], -top)[-top]
         out[rows] = exact
     else:
-        # with no entry left (a dedup candidate that no kept entry's bound lets
-        # through, most of them at alpha 0.7), nothing is compared
+        # with no entry left, nothing is compared
         logic = table.logic(formula, rows) if alpha > 0.0 and len(rows) else 0.0
         out[rows] = _combine(alpha, logic, semantic)
     return out

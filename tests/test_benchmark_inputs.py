@@ -145,7 +145,8 @@ def test_embed_and_embed_many_equal_the_crc32_loop(inputs):
 
 def test_similarities_equals_per_pair_similarity_bit_for_bit(inputs):
     """The offline product runs in float32, exact while both squared norms are below 2**24;
-    "a" * 2898 squares to 2**24 + 2213, so its rows and queries take float64."""
+    "a" * 2898 squares to 2**24 + 2213, so its rows and queries take float64. The block
+    product of dedup's block size gives the same rows, the block holding "a" * 2898 too."""
     retrieval = inputs("eval-retrieval")
     problems, corpus_texts = column(retrieval["problems"], "question"), column(retrieval["corpus"], "question")
     screening = column(inputs("corpus-build")["screening"], "question")
@@ -156,11 +157,18 @@ def test_similarities_equals_per_pair_similarity_bit_for_bit(inputs):
         ("corpus-build", screening + [past], screening + [past]),
     ):
         sem = HashingNgramProvider()
+        rows = []
         for q in queries:
             got = sem.similarities(q, texts).tobytes()
             assert got == np.array([sem.similarity(q, t) for t in texts]).tobytes(), (name, q[:60])
             digest.update(got)
-        print(f"{name}: {len(queries)} queries x {len(texts)} texts equal per-pair similarity")
+            rows.append(got)
+        step = corpus.DEDUP_BLOCK_CELLS // len(texts)
+        for start in range(0, len(queries), step):
+            block = sem.similarity_rows(queries[start : start + step], texts)
+            assert [row.tobytes() for row in block] == rows[start : start + step], (name, start)
+        print(f"{name}: {len(queries)} queries x {len(texts)} texts equal per-pair similarity, "
+              f"one at a time and {step} at a time")
     print(f"digest of the similarities: {digest.hexdigest()[:16]}")
 
 

@@ -642,6 +642,48 @@ def test_out_of_range_config_value_is_a_schema_error(tmp_path, capsys, content, 
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "flag, line",
+    [
+        ("--dataset", 2),
+        ("--corpus", 2),
+        ("--screening-log", 2),
+        ("--annotations", 2),
+        ("--mock-script", 3),
+        ("--config", 3),
+    ],
+)
+def test_a_byte_that_is_not_utf8_is_a_data_error_at_its_line(
+    eval_run, small_corpus, tmp_path, capsys, flag, line
+):
+    dataset, script = eval_run
+    good_line = {
+        "--dataset": dataset.read_bytes().splitlines()[0],
+        "--corpus": small_corpus.read_bytes().splitlines()[0],
+        "--screening-log": json.dumps(_GOOD_RECORD).encode(),
+        "--annotations": json.dumps({"problem_id": "t1", "kind": "logic"}).encode(),
+    }
+    bad = tmp_path / "bad"
+    if flag in good_line:
+        # a good line, then one holding the byte 0xff
+        bad.write_bytes(good_line[flag] + b'\n{"id": "\xff"}\n')
+    else:
+        bad.write_bytes(b'{\n  "default": null,\n  "note": "\xff"\n}\n')
+    out = str(tmp_path / "out")
+    mock = ["--backend", "mock", "--mock-script", str(script), "--output-dir", out]
+    args = {
+        "--dataset": ["eval", "--dataset", str(bad), *mock],
+        "--corpus": ["retrieve", "--question", "q", "--corpus", str(bad)],
+        "--screening-log": ["build-corpus", "--screening-log", str(bad), "--out", out],
+        "--annotations": ["eval", "--dataset", str(dataset), *mock, "--annotations", str(bad)],
+        "--mock-script": ["eval", "--dataset", str(dataset), "--backend", "mock", "--mock-script", str(bad)],
+        "--config": ["retrieve", "--question", "q", "--config", str(bad)],
+    }[flag]
+    assert cli.main(args) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: not UTF-8: byte 0xff") and f"(line {line})" in err
+
+
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("")
@@ -730,6 +772,14 @@ def test_gsm8k_import_malformed_line_is_schema_error(tmp_path, bad_line):
         import_gsm8k(raw, tmp_path / "gsm8k.jsonl")
     assert exc_info.value.line == 2
     assert not (tmp_path / "gsm8k.jsonl").exists()
+
+
+def test_gsm8k_import_line_that_is_not_utf8_is_schema_error(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    raw.write_bytes(json.dumps({"question": "q?", "answer": "#### 3"}).encode() + b"\n\xc3(\n")
+    with pytest.raises(SchemaError, match="not UTF-8: byte 0xc3") as exc_info:
+        import_gsm8k(raw, tmp_path / "gsm8k.jsonl")
+    assert exc_info.value.line == 2
 
 
 def test_gsm8k_import_writes_the_dataset_format(tmp_path):

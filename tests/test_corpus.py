@@ -281,20 +281,25 @@ def _pieces(formula):
 def test_dedup_compares_formulas_only_with_kept_entries_before_the_candidate(monkeypatch, alpha):
     rng = random.Random(6)
     formulas = DEDUP_FORMULAS + ["(1+2)-(3*4)", "1*2-3/4", "((5))", "6/(7+8)"]
-    examples = [_example(i, rng.choice(DEDUP_QUESTIONS), rng.choice(formulas)) for i in range(40)]
+    # a question of its own names each candidate, since a candidate with
+    # no kept entry left to compare makes no scores call
+    examples = [
+        _example(i, f"{rng.choice(DEDUP_QUESTIONS)} (case {i})", rng.choice(formulas))
+        for i in range(40)
+    ]
     cfg = SimilarityConfig(alpha=alpha, dedup_threshold=0.9)
     reference = greedy_dedup(examples, cfg, HashingNgramProvider())
     assert 1 < len(reference) < len(examples)
-    position = {ex.id: i for i, ex in enumerate(examples)}
-    candidates, allowed = itertools.count(1), set()
+    position = {ex.question: i for i, ex in enumerate(examples)}
+    allowed, called = set(), []
     scores, kernel = similarity.scores, _kernels.levenshtein_codes
 
-    def spying(*args, **kwargs):
-        # dedup scores the candidates in order, from the second entry on
-        i = next(candidates)
+    def spying(target, *args, **kwargs):
+        i = position[target[0]]
+        called.append(i)
         allowed.clear()
-        allowed.update(*(_pieces(ex.right_formula) for ex in reference if position[ex.id] < i))
-        return scores(*args, **kwargs)
+        allowed.update(*(_pieces(ex.right_formula) for ex in reference if position[ex.question] < i))
+        return scores(target, *args, **kwargs)
 
     def counting(a, b):
         # a is the candidate's side, b an entry's
@@ -304,6 +309,7 @@ def test_dedup_compares_formulas_only_with_kept_entries_before_the_candidate(mon
     monkeypatch.setattr(similarity, "scores", spying)
     monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
     assert dedup(examples, cfg, HashingNgramProvider()) == reference
+    assert called == sorted(set(called)) and 0 not in called
 
 
 def _outcome(fn):
@@ -340,6 +346,104 @@ def test_dedup_raises_on_degenerate_entries_exactly_as_greedy_tls_reference(alph
     if alpha < 1.0:
         with pytest.raises(ZeroVector):
             dedup([a, b], cfg, zero)
+
+
+class _Only:
+    """A provider offering only the named methods of another."""
+
+    def __init__(self, inner, *methods):
+        for name in methods:
+            setattr(self, name, getattr(inner, name))
+
+
+class _Refusing:
+    """A provider that fails whenever it is asked."""
+
+    def similarity(self, a, b):
+        raise AssertionError("provider asked")
+
+    def similarities(self, a, texts):
+        raise AssertionError("provider asked")
+
+    def similarity_rows(self, queries, texts):
+        raise AssertionError("provider asked")
+
+
+def _straddling_corpus(n=40, step=8):
+    """Seeded examples where clones and near-clones sit on both sides of
+    the boundaries of dedup's blocks of ``step`` candidates (the first
+    block starts at entry 1)."""
+    rng = random.Random(11)
+    formulas = DEDUP_FORMULAS + ["(1+2)-(3*4)", "1*2-3/4", "6/(7+8)"]
+    examples = [
+        _example(
+            i,
+            f"How many {rng.choice(['apples', 'pens', 'cars', 'stamps'])} does "
+            f"{rng.choice(['Ann', 'Bob', 'Chloe', 'Dev', 'Emeka'])} have after {rng.randrange(12)} days?",
+            rng.choice(formulas),
+        )
+        for i in range(n)
+    ]
+    first = examples[0]
+    for boundary in range(1 + step, n, step):
+        # a clone of the last candidate of a block opens the next block,
+        # and a near-clone of the first entry comes two places before it
+        examples[boundary] = dataclasses.replace(examples[boundary - 1], id=f"ex{boundary:02d}")
+        near = dataclasses.replace(first, id=f"ex{boundary - 2:02d}", question=first.question + "?")
+        examples[boundary - 2] = near
+    return examples
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("threshold", [0.8, 0.95])
+def test_dedup_in_blocks_keeps_the_ids_of_the_greedy_tls_reference(monkeypatch, alpha, threshold):
+    examples = _straddling_corpus()
+    # 320 cells over 40 entries: blocks of 8 candidates, five of them
+    monkeypatch.setattr(corpus_mod, "DEDUP_BLOCK_CELLS", 320)
+    blocks = []
+    terms = similarity.semantic_terms
+    def counting(queries, *args):
+        blocks.append(len(queries))
+        return terms(queries, *args)
+
+    monkeypatch.setattr(similarity, "semantic_terms", counting)
+    cfg = SimilarityConfig(alpha=alpha, dedup_threshold=threshold)
+    for provider in [HashingNgramProvider, _WeightedNgrams]:
+        blocks.clear()
+        reference = greedy_dedup(examples, cfg, provider())
+        assert len(reference) < len(examples)
+        assert [ex.id for ex in dedup(examples, cfg, provider())] == [ex.id for ex in reference]
+        assert blocks == [8, 8, 8, 8, 7]
+
+
+@pytest.mark.parametrize("methods", [("similarity",), ("similarity", "similarities")])
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_dedup_through_a_provider_without_a_block_product_keeps_the_same_ids(monkeypatch, methods, alpha):
+    examples = _straddling_corpus()
+    monkeypatch.setattr(corpus_mod, "DEDUP_BLOCK_CELLS", 320)
+    cfg = SimilarityConfig(alpha=alpha, dedup_threshold=0.9)
+    reference = greedy_dedup(examples, cfg, HashingNgramProvider())
+    assert len(reference) < len(examples)
+    sem = _Only(HashingNgramProvider(), *methods)
+    assert not hasattr(sem, "similarity_rows")
+    assert dedup(examples, cfg, sem) == reference
+    # the degenerate cases raise as they do through the block product
+    a, b = _example(1, "Apples?"), _example(2, "Pears?", "7*6")
+    blank = dataclasses.replace(a, right_formula=AlignedFormula("", 0, ""))
+    zero = _ZeroFor("Pears?")
+    for case in ([blank, b], [a, b], [b, a, a], [a, a]):
+        expected = _outcome(lambda: greedy_dedup(case, cfg, zero))
+        assert _outcome(lambda: dedup(case, cfg, zero)) == expected
+        assert _outcome(lambda: dedup(case, cfg, _Only(zero, *methods))) == expected
+
+
+def test_dedup_at_alpha_one_never_asks_the_provider(monkeypatch):
+    examples = _straddling_corpus()
+    monkeypatch.setattr(corpus_mod, "DEDUP_BLOCK_CELLS", 320)
+    cfg = SimilarityConfig(alpha=1.0, dedup_threshold=0.9)
+    reference = greedy_dedup(examples, cfg, _Refusing())
+    assert 1 < len(reference) < len(examples)
+    assert dedup(examples, cfg, _Refusing()) == reference
 
 
 def test_dedup_on_a_corpus_builds_one_index_that_a_later_rank_reuses(monkeypatch):

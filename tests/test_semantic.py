@@ -268,6 +268,32 @@ def test_count_similarities_take_float64_from_a_squared_norm_of_2_to_the_24():
     assert norms[3] == np.sqrt(4097.0**2 + 4)
 
 
+def test_similarities_in_rows_equal_one_query_at_a_time():
+    # blocks with repeated, unseen and corpus queries, on both sides of the float32 guard
+    base = _texts(12, seed=7)
+    texts = base + base[:2] + ["a" * 2897, "a" * 2898]
+    blocks = [
+        base[:5], [base[0], base[0], "zzz unseen", base[1]], texts, ["a" * 2898, base[3]], ["zzz unseen"]
+    ]
+    sem = HashingNgramProvider()
+    for queries in blocks:
+        rows = sem.similarity_rows(queries, texts)
+        assert rows.shape == (len(queries), len(texts))
+        assert [row.tobytes() for row in rows] == [sem.similarities(a, texts).tobytes() for a in queries]
+    assert sem.similarity_rows([], texts).shape == (0, len(texts))
+    assert sem.similarity_rows(["q", "r"], []).shape == (2, 0)
+    corpus, queries = ["small", "below", "at", "over", "below"], ["below", "at", "over", "small"]
+    sem = _Counts()
+    assert [row.tobytes() for row in sem.similarity_rows(queries, corpus)] == [
+        _per_pair(sem, a, corpus) for a in queries
+    ]
+    # a query that cannot be scored fails the block, as it fails alone
+    with pytest.raises(ZeroVector):
+        _FloatProvider(zero={"blank"}).similarity_rows(["x", "blank"], ["x", "y"])
+    with pytest.raises(DimensionMismatch):
+        _FloatProvider(odd_dim={"odd"}).similarity_rows(["x", "odd"], ["x", "y"])
+
+
 def test_float_embeddings_take_the_float64_product():
     class Weighted(HashingNgramProvider):
         WEIGHTS = np.random.default_rng(0).uniform(0.5, 1.5, EMBED_DIM)
