@@ -22,7 +22,7 @@ from .formula import AlignedFormula, SplitResult, split_balanced  # noqa: F401 -
 log = logging.getLogger(__name__)
 
 _COMMUTATIVE = {"+", "*"}
-# entries of one branch-distance memo; a full memo is cleared
+# entries of one branch-distance memo; a memo that would grow past it is cleared
 BRANCH_MEMO_LIMIT = 1 << 16
 
 
@@ -140,18 +140,6 @@ def _combine(alpha, logic, semantic):
     return alpha * logic + (1.0 - alpha) * semantic
 
 
-def _memo_distance(memo: dict[tuple[str, str], float], a: str, b: str) -> float:
-    """norm_distance(a, b) through ``memo``."""
-    # norm_distance is symmetric, so one entry serves both orders
-    key = (a, b) if a <= b else (b, a)
-    hit = memo.get(key)
-    if hit is None:
-        if len(memo) >= BRANCH_MEMO_LIMIT:
-            memo.clear()
-        hit = memo[key] = norm_distance(a, b)
-    return hit
-
-
 # the characters of aligned text, counted per string by char_counts
 COUNTED = "@+-*/();"
 
@@ -197,8 +185,8 @@ class FormulaTable:
     list, ``branches``; ``left`` and ``right`` hold each text's branch
     ids, -1 for a text without one. ``memo`` holds the norm_distance of
     every pair of strings compared through the table, for all targets
-    scored against it; it is cleared when it reaches
-    ``BRANCH_MEMO_LIMIT`` entries.
+    scored against it; it is cleared when the entries of one ``_fill``
+    would take it past ``BRANCH_MEMO_LIMIT``, and never holds more.
     """
 
     def __init__(self, formulas: Sequence[AlignedFormula | str]):
@@ -314,13 +302,34 @@ class Target:
 
     def _fill(self, distance: np.ndarray, s: str, strings: list[str], ids: np.ndarray) -> None:
         """Set ``distance[i]`` to norm_distance(s, strings[i]) at each of
-        ``ids`` not compared yet, each once, in ascending order."""
+        ``ids`` not compared yet, each once: from the table's memo, or
+        else from one ``levenshtein_many`` call for all the misses."""
         need = np.zeros(len(distance), dtype=bool)
         need[ids] = True
         ids = np.flatnonzero(need & np.isnan(distance)).tolist()
-        if ids:
-            memo = self.table.memo
-            distance[ids] = [_memo_distance(memo, s, strings[i]) for i in ids]
+        if not ids:
+            return
+        memo = self.table.memo
+        found, miss, others = [], [], []
+        for i in ids:
+            t = strings[i]
+            # norm_distance is symmetric, so one entry serves both orders
+            key = (s, t) if s <= t else (t, s)
+            hit = 0.0 if t == s else memo.get(key)
+            if hit is None:
+                miss.append((len(found), key))
+                others.append(t)
+            found.append(hit)
+        if miss:
+            edits = _kernels.levenshtein_many(s, others)
+            if len(memo) + len(miss) > BRANCH_MEMO_LIMIT:
+                memo.clear()
+            for (j, key), t, edit in zip(miss, others, edits):
+                # norm_distance's operations; t is not s, so not both are empty
+                found[j] = d = 2 * edit / (len(s) + len(t))
+                if len(memo) < BRANCH_MEMO_LIMIT:
+                    memo[key] = d
+        distance[ids] = found
 
     def _similarity(self, at, whole, lefts, rights) -> np.ndarray:
         """The logic similarity of the target to the texts ``at``, given

@@ -26,13 +26,13 @@ sys.path.insert(0, str(ROOT))  # perfbench lives at the repo root
 
 from _oracles import (  # noqa: E402
     align_by_tree, chains_by_descent, embed_by_crc32, first_rule_by_scan, greedy_dedup,
-    has_operator_by_tree, stated_result_by_tree,
+    has_operator_by_tree, levenshtein_by_pair, stated_result_by_tree,
 )
-from mathcontrast import corpus, datasets, evaluation, formula, pipeline  # noqa: E402
+from mathcontrast import _kernels, corpus, datasets, evaluation, formula, pipeline  # noqa: E402
 from mathcontrast.errors import ExtractionError, ParseError, UnknownPrompt  # noqa: E402
 from mathcontrast.gateway import MockBackend  # noqa: E402
 from mathcontrast.semantic import HashingNgramProvider  # noqa: E402
-from mathcontrast.similarity import SimilarityConfig, tls  # noqa: E402
+from mathcontrast.similarity import FormulaTable, SimilarityConfig, split_balanced, tls  # noqa: E402
 from perfbench.gen import generate  # noqa: E402
 from perfbench.workloads import ALPHA, GUESSES, K  # noqa: E402
 
@@ -170,6 +170,38 @@ def test_similarities_equals_per_pair_similarity_bit_for_bit(inputs):
         print(f"{name}: {len(queries)} queries x {len(texts)} texts equal per-pair similarity, "
               f"one at a time and {step} at a time")
     print(f"digest of the similarities: {digest.hexdigest()[:16]}")
+
+
+def test_lane_kernel_equals_the_per_pair_loop_on_the_benchmark_inputs(inputs):
+    """Retrieval sends all the distances one target string still needs to one
+    levenshtein_many call, which scans that string once for lanes of many corpus
+    strings; the per-pair loop it replaced is tests/_oracles.py's levenshtein_by_pair.
+    The seed-1 corpus's distinct texts and branches against the whole, left and
+    right strings of 40 preprocess targets."""
+    paths = inputs("eval-retrieval")
+    table = FormulaTable([ex.right_formula for ex in corpus.load(paths["corpus"])])
+    backend = MockBackend.from_file(paths["script"])
+    targets, strings = 0, set()
+    for problem in datasets.load_problems(paths["problems"]):
+        try:
+            total = pipeline.preprocess(problem.question, backend).total_formula
+        except ExtractionError:
+            continue
+        split = split_balanced(total.text)
+        strings.update((total.text, split.left, split.right) if split.operator else (total.text,))
+        targets += 1
+        if targets == 40:
+            break
+    digest, pairs = hashlib.sha256(), 0
+    for s in sorted(strings):
+        for others in (table.texts, table.branches):
+            got = _kernels.levenshtein_many(s, others)
+            assert got == [levenshtein_by_pair(s, t) for t in others], s
+            digest.update(repr(got).encode())
+            pairs += len(others)
+    print(f"{len(strings)} strings of {targets} targets x {len(table.texts)} texts and "
+          f"{len(table.branches)} branches: {pairs} distances equal the per-pair loop, "
+          f"sha256 {digest.hexdigest()[:16]}")
 
 
 def test_subcommands_take_only_the_flags_they_read():

@@ -684,6 +684,75 @@ def test_a_byte_that_is_not_utf8_is_a_data_error_at_its_line(
     assert err.startswith("error: not UTF-8: byte 0xff") and f"(line {line})" in err
 
 
+# tokens a mutation splices into a file: a float past range, a JSON null, a byte
+# that is not UTF-8, and digit runs past float range and past Python's int limit
+_SPLICES = (b"1e400", b"null", b"\xff", b"9" * 400, b"9" * 5000)
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with one to four byte mutations: a bit flip, an inserted,
+    deleted or duplicated run, or a spliced-in token."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out)))
+        kind = draw(st.sampled_from(("flip", "insert", "delete", "duplicate", "splice")))
+        if kind == "flip" and at < len(out):
+            out[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "insert":
+            out[at:at] = bytes([draw(st.integers(0, 255))])
+        elif kind == "delete":
+            del out[at : at + draw(st.integers(1, 8))]
+        elif kind == "duplicate":
+            out[at:at] = out[at : at + draw(st.integers(1, 16))]
+        elif kind == "splice":
+            out[at:at] = draw(st.sampled_from(_SPLICES))
+    return bytes(out)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_input_files_exit_cleanly_and_name_a_line(eval_run, small_corpus, tmp_path, capsys, data):
+    # each of the six input formats, mutated, through the subcommand that reads it:
+    # never exit 1 (a usage error) or an exception, and every data error names a line
+    dataset, script = eval_run
+    good = {
+        "--dataset": dataset.read_bytes(),
+        "--corpus": small_corpus.read_bytes(),
+        "--screening-log": (tmp_path / "screening.jsonl").read_bytes(),
+        "--mock-script": script.read_bytes(),
+        "--config": json.dumps({"alpha": 0.5, "k": 2, "guesses": 3}, indent=2).encode(),
+        "--annotations": b'{"problem_id": "t1", "kind": "logic"}\n{"problem_id": "t2", "kind": "calculation"}\n',
+    }
+    flag = data.draw(st.sampled_from(sorted(good)))
+    run = tmp_path / f"fuzz-{len(list(tmp_path.glob('fuzz-*')))}"
+    run.mkdir()
+    bad = run / "input"
+    bad.write_bytes(data.draw(_mutated(good[flag])))
+    files = {
+        "--dataset": dataset, "--corpus": small_corpus, "--mock-script": script,
+        "--screening-log": tmp_path / "screening.jsonl", flag: bad,
+    }
+    evaluate = ["eval", "--dataset", str(files["--dataset"]), "--corpus", str(files["--corpus"])]
+    evaluate += ["--guesses", "3", "--backend", "mock", "--mock-script", str(files["--mock-script"])]
+    evaluate += ["--output-dir", str(run / "out")]
+    retrieve = ["retrieve", "--question", "How many chocolates are left?", "--formula", "(3+4)-2"]
+    retrieve += ["--corpus", str(files["--corpus"])]
+    args = {
+        "--dataset": evaluate,
+        "--corpus": retrieve,
+        "--screening-log": ["build-corpus", "--screening-log", str(bad), "--out", str(run / "corpus.jsonl")],
+        "--mock-script": evaluate,
+        "--config": [*retrieve, "--config", str(bad)],
+        "--annotations": [*evaluate, "--annotations", str(bad)],
+    }[flag]
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_BACKEND), (flag, err)
+    if code == cli.EXIT_DATA:
+        assert re.search(r"\bline \d+", err), (flag, err)
+
+
 def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("")

@@ -292,7 +292,7 @@ def test_dedup_compares_formulas_only_with_kept_entries_before_the_candidate(mon
     assert 1 < len(reference) < len(examples)
     position = {ex.question: i for i, ex in enumerate(examples)}
     allowed, called = set(), []
-    scores, kernel = similarity.scores, _kernels.levenshtein_codes
+    scores, kernel = similarity.scores, _kernels.levenshtein_many
 
     def spying(target, *args, **kwargs):
         i = position[target[0]]
@@ -301,13 +301,13 @@ def test_dedup_compares_formulas_only_with_kept_entries_before_the_candidate(mon
         allowed.update(*(_pieces(ex.right_formula) for ex in reference if position[ex.question] < i))
         return scores(target, *args, **kwargs)
 
-    def counting(a, b):
-        # a is the candidate's side, b an entry's
-        assert b in allowed
-        return kernel(a, b)
+    def counting(s, strings):
+        # s is the candidate's side, each of strings an entry's
+        assert all(t in allowed for t in strings)
+        return kernel(s, strings)
 
     monkeypatch.setattr(similarity, "scores", spying)
-    monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
+    monkeypatch.setattr(_kernels, "levenshtein_many", counting)
     assert dedup(examples, cfg, HashingNgramProvider()) == reference
     assert called == sorted(set(called)) and 0 not in called
 
@@ -516,13 +516,13 @@ def test_dedup_computes_each_unordered_branch_pair_once(monkeypatch):
     formulas = ["32+42", "7*6", "(32+42)-35", "5-2", "(1+2)*3", "9/3+1", "1*2-3/4", "(1+2)-(3*4)"]
     examples = [_example(i, f"question {i}", rng.choice(formulas)) for i in range(40)]
     computed = []
-    kernel = _kernels.levenshtein_codes
+    kernel = _kernels.levenshtein_many
 
-    def counting(a, b):
-        computed.append(frozenset((a, b)))
-        return kernel(a, b)
+    def counting(s, strings):
+        computed.extend(frozenset((s, t)) for t in strings)
+        return kernel(s, strings)
 
-    monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
+    monkeypatch.setattr(_kernels, "levenshtein_many", counting)
     dedup(examples, SimilarityConfig(alpha=1.0, dedup_threshold=0.99), HashingNgramProvider())
     assert computed
     assert len(computed) == len(set(computed))

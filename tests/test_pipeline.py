@@ -430,8 +430,10 @@ def test_rank_top_k_compares_fewer_formulas_than_the_full_order(monkeypatch):
     sem = HashingNgramProvider()
     targets = [(ex.question, ex.right_formula) for ex in examples[:10]]
     targets += [("apple total row", "@*(@+@)-@"), ("fish", "(@-@)/@;@+@")]
-    calls, kernel = [], _kernels.levenshtein_codes
-    monkeypatch.setattr(_kernels, "levenshtein_codes", lambda a, b: calls.append(1) or kernel(a, b))
+    calls, kernel = [], _kernels.levenshtein_many
+    monkeypatch.setattr(
+        _kernels, "levenshtein_many", lambda s, strings: calls.extend((s, t) for t in strings) or kernel(s, strings)
+    )
     counts = {}
     for k in (7, None):
         corpus = Corpus(examples)  # a fresh index, so no memo is shared between the two
@@ -447,12 +449,14 @@ def test_top_k_rank_splits_the_target_once_and_compares_each_pair_once(monkeypat
     corpus.index()  # the corpus's own formulas are split before counting starts
     targets = [(ex.question, ex.right_formula) for ex in corpus[:10]]
     targets += [("apple total row", "@*(@+@)-@"), ("fish", "(@-@)/@;@+@"), ("fish", "@")]
-    split, distance = similarity.split_balanced, similarity._memo_distance
+    split, kernel = similarity.split_balanced, _kernels.levenshtein_many
     splits, pairs = [], []
     monkeypatch.setattr(similarity, "split_balanced", lambda text: splits.append(text) or split(text))
     monkeypatch.setattr(
-        similarity, "_memo_distance", lambda memo, a, b: pairs.append((a, b)) or distance(memo, a, b)
+        _kernels, "levenshtein_many", lambda s, strings: pairs.extend((s, t) for t in strings) or kernel(s, strings)
     )
+    # a memo that keeps nothing, so every pair a query asks for reaches the kernel
+    monkeypatch.setattr(similarity, "BRANCH_MEMO_LIMIT", 0)
     compared = 0
     for question, formula in targets:
         splits.clear()
@@ -529,8 +533,10 @@ def test_repeated_target_on_one_corpus_computes_no_edit_distance(monkeypatch):
     corpus = Corpus(_seeded_corpus(120, seed=9))
     sem = HashingNgramProvider()
     calls = []
-    kernel = _kernels.levenshtein_codes
-    monkeypatch.setattr(_kernels, "levenshtein_codes", lambda a, b: calls.append(1) or kernel(a, b))
+    kernel = _kernels.levenshtein_many
+    monkeypatch.setattr(
+        _kernels, "levenshtein_many", lambda s, strings: calls.extend((s, t) for t in strings) or kernel(s, strings)
+    )
     for target in [("fish row", "@-@*@"), ("seat", "@")]:
         first = rank(target, corpus, CFG, sem)
         assert calls

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ def test_kernel_matches_memoized_oracle():
         expect = lev_memo(a, b)
         assert _kernels.levenshtein_codes(a, b) == expect
         assert _kernels.levenshtein_codes(b, a) == expect
+
+
+# the aligned alphabet, non-ASCII characters, and the separator between two lanes
+lane_strings = st.text(alphabet="@+-*/();" + "éπ中\0", max_size=24)
+
+
+@given(
+    lane_strings,
+    st.lists(lane_strings, max_size=40),
+    st.integers(0, 40),
+    st.sampled_from([1, 8, 40, _kernels.LANE_BITS]),
+)
+@settings(max_examples=300, deadline=None)
+def test_levenshtein_many_equals_the_memoized_oracle(s, others, at, budget):
+    # s itself and an empty string among the others; a budget of 1 or 8 bits is
+    # shorter than most strings, and 40 strings fill several groups of 40 bits
+    strings = others[:at] + [s, ""] + others[at:]
+    with mock.patch.object(_kernels, "LANE_BITS", budget):
+        got = _kernels.levenshtein_many(s, strings)
+    assert got == [lev_memo(s, t) for t in strings]
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +447,13 @@ def test_scores_given_rows_and_bound_keep_exact_values_of_every_entry_that_can_e
 
 def test_scores_with_a_bound_skip_only_entries_whose_bound_rules_them_out(monkeypatch):
     compared = []
-    kernel = _kernels.levenshtein_codes
+    kernel = _kernels.levenshtein_many
 
-    def counting(a, b):
-        compared.append(b)
-        return kernel(a, b)
+    def counting(s, strings):
+        compared.extend((s, t) for t in strings)
+        return kernel(s, strings)
 
-    monkeypatch.setattr(_kernels, "levenshtein_codes", counting)
+    monkeypatch.setattr(_kernels, "levenshtein_many", counting)
     formulas = ["@+@", "@-@", "@*@", "(@)"]
     table = FormulaTable(formulas)
     split, splits = similarity.split_balanced, []
@@ -445,7 +466,7 @@ def test_scores_with_a_bound_skip_only_entries_whose_bound_rules_them_out(monkey
     got = similarity.scores(("q", "@/@"), ["q"] * 4, table, cfg, sem, rows=[1, 3], above=0.7)
     expected = [tls(("q", "@/@"), ("q", f), cfg, sem) for f in formulas]
     assert got.tolist() == [-np.inf, expected[1], -np.inf, expected[3]]
-    assert set(compared) <= {"@", "(@)"}
+    assert {t for _, t in compared} <= {"@", "(@)"}
     # at alpha 1 the bound is 1.0 and the provider is not asked
     logic_only = SimilarityConfig(alpha=1.0)
     got = similarity.scores(("q", "@+@"), ["q"] * 4, table, logic_only, _NoProvider(), above=0.99)
@@ -536,6 +557,18 @@ def test_formula_table_memo_is_bounded(monkeypatch):
         got = table.logic(target).tolist()
         assert got == [logic_similarity(target, f) for f in table.texts]
         assert len(table.memo) <= 4
+    # one batch of more misses than the memo holds: a target with no top-level
+    # operator against six texts
+    batches, kernel = [], _kernels.levenshtein_many
+    monkeypatch.setattr(
+        _kernels, "levenshtein_many", lambda s, strings: batches.append(len(strings)) or kernel(s, strings)
+    )
+    table = FormulaTable(["@+@", "(@*@)-@", "@/(@+@)", "(@)", "@*@*@*@", "@-@"])
+    for _ in range(2):
+        got = table.logic("(@)").tolist()
+        assert got == [logic_similarity("(@)", f) for f in table.texts]
+        assert len(table.memo) <= 4
+    assert batches[0] == 5 > 4  # "(@)" itself is at distance 0 without the kernel
 
 
 def test_tls_monotone_in_each_component():
