@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
 import time
 from collections import Counter
@@ -253,9 +254,13 @@ class MockBackend:
     (every string in a rule's ``contains`` must appear in the
     concatenated message contents; first matching rule wins). Each rule
     is filed under its anchor, the needle of its ``contains`` that the
-    fewest rules share, so a lookup tests each anchor at most once and
-    checks only the rules filed under the anchors present; the rules
-    are fixed at construction. A request
+    fewest rules share, and a lookup checks only the rules filed under
+    the anchors present; the rules are fixed at construction. Anchors
+    that share a first character, at least two per anchor length, are
+    found together: each hit of their common prefix in the text is
+    looked up at each anchor length. A group whose prefix has more hits
+    than it has anchors per length, and every other anchor, gets one
+    ``in`` test. A request
     for n samples takes the first n scripted completions, cycling when
     the script is shorter. With ``stateful=True`` repeated requests
     keep consuming the script instead of restarting it, which lets one
@@ -300,6 +305,23 @@ class MockBackend:
         for i, (needles, _) in enumerate(self.rules[: self._unanchored]):
             filed.setdefault(min(needles, key=shared.__getitem__), []).append(i)
         self._anchors = tuple(filed.items())
+        # anchors that share a first character are found together, from the
+        # hits of their common prefix: each hit costs one slice per anchor
+        # length, so a group is probed while those slices number no more than
+        # its anchors, and only if that allows two hits
+        groups: dict[str, dict[str, int]] = {}
+        for order, (anchor, _) in enumerate(self._anchors):
+            groups.setdefault(anchor[:1], {})[anchor] = order
+        self._groups = []
+        tested = []
+        for group in groups.values():
+            lengths = sorted({len(a) for a in group})
+            most = len(group) // len(lengths)  # the hits a probe may look up
+            if most < 2:
+                tested += group.values()
+            else:
+                self._groups.append((os.path.commonprefix(list(group)), group, lengths, most))
+        self._tested = sorted(tested)
 
     @classmethod
     def from_file(cls, path) -> "MockBackend":
@@ -337,10 +359,33 @@ class MockBackend:
             if fp in self.script:
                 return fp, self.script[fp]
         text = "\n".join(content for _role, content in req.messages)
+        anchors = self._anchors
+        found: set[int] = set()
+        tested = [self._tested]  # anchor orders whose presence `in` tests
+        untested = len(anchors) - len(self._tested)
+        for prefix, group, lengths, most in self._groups:
+            hits = []
+            at = text.find(prefix)
+            while at >= 0 and len(hits) < most:
+                hits.append(at)
+                at = text.find(prefix, at + 1)
+            if at >= 0:
+                # more slices to look up than anchors: an `in` test each is cheaper
+                tested.append(group.values())
+                untested -= len(group)
+                continue
+            for at in hits:
+                for n in lengths:
+                    order = group.get(text[at : at + n])
+                    if order is not None:
+                        found.add(order)
+        # the walk takes anchors in the order of their first rules: all of
+        # them when each is to be tested, else the found and tested ones;
+        # a found anchor passes the `in` test below at its first hit
+        walk = anchors if not untested else [anchors[o] for o in sorted(found.union(*tested))]
         rules = self.rules
         best = self._unanchored
-        # anchors come in the order of their first rule
-        for anchor, filed in self._anchors:
+        for anchor, filed in walk:
             if filed[0] >= best:
                 break
             if anchor not in text:

@@ -142,17 +142,28 @@ def _combine(alpha, logic, semantic):
 
 # the characters of aligned text, counted per string by char_counts
 COUNTED = "@+-*/();"
+# the row of char_counts for each code point below 128, 0 for one not
+# counted; every code point from 128 on reads the last entry, 0
+_COUNTED_ROW = np.zeros(129, dtype=np.intp)
+_COUNTED_ROW[[ord(ch) for ch in COUNTED]] = np.arange(1, 1 + len(COUNTED))
 
 
 def char_counts(strings: Sequence[str]) -> np.ndarray:
     """Each string's length and its count of each character of
     ``COUNTED``: one row each, one column per string. int32 keeps the
-    temporaries of each bound small."""
-    counts = np.empty((1 + len(COUNTED), len(strings)), dtype=np.int32)
-    counts[0] = [len(s) for s in strings]
-    for row, ch in enumerate(COUNTED, 1):
-        counts[row] = [s.count(ch) for s in strings]
-    return counts
+    temporaries of each bound small.
+
+    One ``bincount`` over the code points of all the strings, binned by
+    row and string; the uncounted characters fill row 0, which the
+    lengths then overwrite."""
+    n = len(strings)
+    lengths = [len(s) for s in strings]
+    # UTF-32 holds one unit per code point, as len counts them
+    codes = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    bins = _COUNTED_ROW[np.minimum(codes, 128)] * n + np.repeat(np.arange(n), lengths)
+    counts = np.bincount(bins, minlength=(1 + len(COUNTED)) * n).reshape(1 + len(COUNTED), n)
+    counts[0] = lengths
+    return counts.astype(np.int32)
 
 
 def levenshtein_lower_bound(own: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -236,6 +236,20 @@ def _rules_and_texts(draw):
     return [(contains, [f"rule {i}"]) for i, contains in enumerate(picks)], texts
 
 
+@st.composite
+def _grouped_rules_and_texts(draw):
+    """Rules and texts as above, over many needles of two or three
+    letters of "ab", each the first needle of a rule or two: they share
+    first letters and lengths, so the lookup finds most of them from
+    the hits of their group's common prefix."""
+    vocab = draw(st.lists(st.text(alphabet="ab", min_size=2, max_size=3), min_size=2, max_size=12, unique=True))
+    needle = st.sampled_from(vocab)
+    picks = [[first, *draw(st.lists(needle, max_size=2))] for first in vocab for _ in range(draw(st.integers(1, 2)))]
+    text = st.lists(needle, max_size=4).map("d".join) | st.text(alphabet="abd", max_size=8)
+    texts = draw(st.lists(text, min_size=1, max_size=2))
+    return [(contains, [f"rule {i}"]) for i, contains in enumerate(picks)], texts
+
+
 def _case(rules, texts, default=None, strict=False, scripted=False):
     return dict(
         case=([(contains, [f"rule {i}"]) for i, contains in enumerate(rules)], texts),
@@ -247,7 +261,7 @@ def _case(rules, texts, default=None, strict=False, scripted=False):
 
 @settings(max_examples=600, deadline=None)
 @given(
-    case=_rules_and_texts(),
+    case=_rules_and_texts() | _grouped_rules_and_texts(),
     default=st.none() | st.just("fallback"),
     strict=st.booleans(),
     scripted=st.booleans(),
@@ -263,6 +277,19 @@ def _case(rules, texts, default=None, strict=False, scripted=False):
 # no match: strict ignores the default
 @example(**_case([["a"]], ["dd"], default="fallback", strict=True))
 @example(**_case([["a"]], ["a"], scripted=True))
+# an empty needle beside a probed group: it has no first character
+@example(**_case([["ab"], ["ac"], [""]], ["d"]))
+# a needle that spans the "\n" between two messages
+@example(**_case([["bxy"], ["b\nc"], ["c"]], ["ab", "cd"]))
+# a probed group whose first character is not ASCII
+@example(**_case([["éa"], ["éb"], ["b"]], ["dééb"]))
+# the hits of the prefix "aa" overlap; a probed group of two anchor lengths
+@example(**_case([["aab"], ["aaa"]], ["aaab"]))
+@example(**_case([["ab"], ["aa"], ["abb"], ["aaa"]], ["abd"]))
+# the prefix "a" occurs more often than its group has anchors: each is tested
+@example(**_case([["ab"], ["ac"], ["c"]], ["aaaac"]))
+# the benchmark's shape: 200 tags that share "[P00", only the last present
+@example(**_case([[f"[P{i:05d}]"] for i in range(200)], ["question [P00199] here"]))
 def test_mock_lookup_is_the_first_rule_of_a_linear_scan(case, default, strict, scripted):
     rules, texts = case
     messages = tuple(("user", text) for text in texts)

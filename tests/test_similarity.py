@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import lev_memo, lev_recursive
 from mathcontrast import _kernels, similarity
@@ -495,6 +495,19 @@ def test_levenshtein_lower_bound_never_exceeds_the_distance(a, others):
         for bound, b in zip(row, others):
             assert bound <= _kernels.levenshtein_codes(s, b)
     assert levenshtein_lower_bound(char_counts([a]), char_counts([a])).tolist() == [[0]]
+
+
+@given(st.lists(st.text() | st.text(alphabet="@+-*/();x"), max_size=5))
+# non-ASCII code points (the low 7 bits of "À" read "@"), a lone surrogate, a NUL
+# and strings with nothing in them
+@example(["éÀ@", "\ud800(", "a\x00", "", "\U0001d465*@"])
+@example([])
+def test_char_counts_are_each_strings_length_and_counts(strings):
+    counts = char_counts(strings)
+    assert counts.dtype == np.int32
+    assert counts.tolist() == [[len(s) for s in strings]] + [
+        [s.count(ch) for s in strings] for ch in similarity.COUNTED
+    ]
 
 
 @given(
