@@ -362,7 +362,6 @@ class MockBackend:
         anchors = self._anchors
         found: set[int] = set()
         tested = [self._tested]  # anchor orders whose presence `in` tests
-        untested = len(anchors) - len(self._tested)
         for prefix, group, lengths, most in self._groups:
             hits = []
             at = text.find(prefix)
@@ -372,20 +371,17 @@ class MockBackend:
             if at >= 0:
                 # more slices to look up than anchors: an `in` test each is cheaper
                 tested.append(group.values())
-                untested -= len(group)
                 continue
             for at in hits:
                 for n in lengths:
                     order = group.get(text[at : at + n])
                     if order is not None:
                         found.add(order)
-        # the walk takes anchors in the order of their first rules: all of
-        # them when each is to be tested, else the found and tested ones;
-        # a found anchor passes the `in` test below at its first hit
-        walk = anchors if not untested else [anchors[o] for o in sorted(found.union(*tested))]
+        # the walk takes the found and tested anchors in the order of their
+        # first rules; a found anchor passes the `in` test below at its first hit
         rules = self.rules
         best = self._unanchored
-        for anchor, filed in walk:
+        for anchor, filed in [anchors[o] for o in sorted(found.union(*tested))]:
             if filed[0] >= best:
                 break
             if anchor not in text:
