@@ -267,11 +267,30 @@ def example_to_dict(ex: ReferenceExample) -> dict:
     return obj
 
 
-def example_from_dict(obj: dict, line: int) -> ReferenceExample:
+# digits 1-9 as '0', for the shape key of a formula (see load)
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _align_shape(raw: str, shapes: dict[bytes, AlignedFormula]) -> AlignedFormula:
+    """``align_variables(raw)``, taken from ``shapes`` when an ASCII
+    formula of the same shape has aligned before; a success is stored."""
+    if not raw.isascii():
+        return align_variables(raw)
+    key = raw.encode().translate(_ZERO_DIGITS).replace(b"00", b"0")
+    known = shapes.get(key)
+    if known is None:
+        known = shapes[key] = align_variables(raw)
+        return known
+    return AlignedFormula(known.text, known.token_count, raw)
+
+
+def example_from_dict(obj: dict, line: int, shapes: dict[bytes, AlignedFormula]) -> ReferenceExample:
+    """One corpus line's example; ``shapes`` carries aligned formulas by
+    shape from line to line (see ``load``)."""
     values = check_fields(obj, _EXAMPLE_FIELDS, line)
     for i in (3, 5):  # right_formula, wrong_formula
         try:
-            values[i] = align_variables(values[i])
+            values[i] = _align_shape(values[i], shapes)
         except ParseError as exc:
             raise SchemaError(f"formula does not parse: {exc}", line, _EXAMPLE_FIELDS[i][0])
     return ReferenceExample(*values)
@@ -285,8 +304,20 @@ def save(examples: list[ReferenceExample], path: str | os.PathLike) -> None:
 
 
 def load(path: str | os.PathLike) -> Corpus:
-    """Read a corpus; empty file yields an empty one."""
-    return Corpus(example_from_dict(obj, line_no) for line_no, obj in read_jsonl_objects(path))
+    """Read a corpus; empty file yields an empty one.
+
+    Formulas are stored raw and aligned here, once per shape: two ASCII
+    formulas that differ only in the values and lengths of their digit
+    runs align to the same text and operand count, since alignment reads
+    a digit run only as a run of digits. The shape is the formula's
+    bytes with 1-9 as '0' and each "00" as "0". One dict of
+    the shapes aligned so far lives for this call only; a hit shares the
+    aligned text and keeps the formula's own origin. Other text, and a
+    formula that does not align, is aligned afresh each time, so a bad
+    formula raises the same ``SchemaError`` as on its own.
+    """
+    shapes: dict[bytes, AlignedFormula] = {}
+    return Corpus(example_from_dict(obj, line_no, shapes) for line_no, obj in read_jsonl_objects(path))
 
 
 def record_to_dict(rec: ScreeningRecord) -> dict:

@@ -170,4 +170,4 @@ def save_report(report: EvalReport, traces: list[SolveTrace], out_dir) -> None:
         "per_problem": list(report.per_problem),
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, ensure_ascii=False, indent=2)
+        fh.write(json.dumps(summary, ensure_ascii=False, indent=2))

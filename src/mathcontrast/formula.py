@@ -108,10 +108,8 @@ _CHAR_KINDS = {"@": "at", "+": "op", "-": "op", "*": "op", "/": "op", "(": "lpar
 _OPERAND_KINDS = {"number", "ident", "at"}
 # skipped between tokens, as is every character that str.isspace admits
 _SKIP_CHARS = {"$", "\\"}
-# the skipped characters of ASCII text
-_DROP_ASCII_SKIPS = str.maketrans(
-    "", "", "".join(c for c in map(chr, range(128)) if c.isspace() or c in _SKIP_CHARS)
-)
+# the skipped characters of ASCII text, as bytes for one bytes.translate
+_ASCII_SKIPS = bytes(c for c in range(128) if chr(c).isspace() or chr(c) in _SKIP_CHARS)
 
 
 def _read_token(s: str, i: int) -> tuple[str, str, int] | None:
@@ -223,7 +221,7 @@ def _align(raw: str) -> tuple[str, int]:
     """``align_variables`` without its AlignedFormula: the aligned text
     and its operand count."""
     if raw.isascii():
-        chars = _OPERAND.sub("@", raw).translate(_DROP_ASCII_SKIPS)
+        chars = _OPERAND.sub("@", raw).encode().translate(None, _ASCII_SKIPS).decode("ascii")
     else:
         chars = ";".join(_part_chars(part) for part in raw.split(";"))
     stop, want_operand, depth, count = _walk(chars)
@@ -236,10 +234,10 @@ def align_variables(raw: str) -> AlignedFormula:
     """Replace every number and identifier with '@', keeping structure.
 
     ASCII text is aligned by one substitution that writes '@' per
-    operand, after which its skipped characters are dropped. Other text
-    is read token by token: past ASCII, the pattern's identifier start
-    admits numeric characters such as '½', and more characters are
-    whitespace. Then one walk checks the aligned characters, with input
+    operand, after which one ``bytes.translate`` drops its skipped
+    characters. Other text is read token by token: past ASCII, the
+    pattern's identifier start admits numeric characters such as '½',
+    and more characters are whitespace. Then one walk checks the aligned characters, with input
     parentheses preserved verbatim. Text with ';' separators is aligned
     piecewise, so merged formulas realign to themselves. Text outside
     the grammar raises the ``ParseError`` of its first failing part,

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from _oracles import greedy_dedup
 from _schema import field_names, not_finite, required, second_line_error, wrong_typed
@@ -25,7 +25,7 @@ from mathcontrast.corpus import (
     save,
     screen,
 )
-from mathcontrast.errors import DegenerateInput, SchemaError, ZeroVector
+from mathcontrast.errors import DegenerateInput, ParseError, SchemaError, ZeroVector
 from mathcontrast.formula import AlignedFormula, align_variables
 from mathcontrast.pipeline import rank
 from mathcontrast.semantic import EMBED_DIM, HashingNgramProvider
@@ -774,6 +774,65 @@ def test_appended_screening_log_loads_equal_records(tmp_path, records):
     for rec in records:
         append_screening_record(rec, path)
     assert load_screening_log(path) == records
+
+
+# formulas over digits, number punctuation, identifiers, operators, the
+# skipped characters, ';' and one non-ASCII character; digits weigh most,
+# so drawn formulas often share a shape
+_SHAPE_CHARS = st.sampled_from("0123456789" * 3 + ",.xyB_+-*/()  $;\u00bd")
+_SHAPED = st.lists(st.text(_SHAPE_CHARS, max_size=10), min_size=1, max_size=8)
+_FORMULA_FIELDS = ("right_formula", "wrong_formula")
+
+
+def _formula_rows(formulas):
+    """One corpus row per formula, in right_formula on odd lines and in
+    wrong_formula on even ones; "0" fills the other field."""
+    base = {**corpus_mod.example_to_dict(_example(0, "q")), "right_formula": "0", "wrong_formula": "0"}
+    return [{**base, "id": str(line), _FORMULA_FIELDS[(line - 1) % 2]: raw} for line, raw in enumerate(formulas, 1)]
+
+
+def _aligned_row_by_row(rows):
+    """The examples that ``align_variables`` gives each formula on its
+    own, or the (message, line, field) of the first that does not align."""
+    examples = []
+    for line, row in enumerate(rows, 1):
+        values = dict(row)
+        for name in _FORMULA_FIELDS:
+            try:
+                values[name] = align_variables(row[name])
+            except ParseError as exc:
+                return f"formula does not parse: {exc}", line, name
+        examples.append(ReferenceExample(**values))
+    return examples
+
+
+@_TMP_PATH
+@given(_SHAPED)
+@example(["12", "1 2"])  # two adjacent operands, one operand: two shapes
+@example(["12", "1,2"])
+@example(["x9+2", "x1+2"])
+@example([".5+1.25"])
+@example(["\u00bd+1"])
+@example(["1+\ud800"])  # a lone surrogate, which has no UTF-8 bytes
+@example(["3 +", "12 +"])  # two failures of one shape, each at its own position
+def test_load_aligns_each_formula_as_align_variables_does(tmp_path, formulas):
+    """load aligns one formula per shape; the corpus equals each formula
+    aligned on its own, and a file that fails raises the SchemaError of
+    its first bad formula. Each failing row is then dropped and the rest
+    loaded again, so every failure of a shape is checked."""
+    path = tmp_path / "corpus.jsonl"
+    rows = _formula_rows(formulas)
+    while True:
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        expected = _aligned_row_by_row(rows)
+        try:
+            got = load(path)
+        except SchemaError as exc:
+            got = exc.message, exc.line, exc.field
+        assert got == expected
+        if isinstance(expected, list):
+            return
+        del rows[expected[1] - 1]
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=8))
